@@ -1,4 +1,4 @@
-"""Coordinator scaling smoke: merge cache, shard fan-out, pooled rebuilds.
+"""Coordinator scaling smoke: merge cache and shard fan-out.
 
 Measures what this tier's perf work actually bought, and writes the
 evidence to ``BENCH_router_scaling.json`` at the repo root (a CI
@@ -17,13 +17,7 @@ artifact):
 * **identity** — after an identical mutation stream, every query kind
   at every shard count, cached and uncached, answers bit-identically to
   a single unsharded service (id-sorted canonical arrays).  Always
-  enforced;
-* **pooled rebuilds** — delete churn against an inline-rebuild registry
-  vs one shipping recomputes to a :class:`RebuildPool`.  Gates, always
-  enforced: pooled mutation p99 must not exceed inline p99 (the inline
-  p99 *contains* a full pipeline recompute; the pooled writer only ever
-  pays incremental maintenance), at least one pooled rebuild completes,
-  and the final ``state_digest()`` matches the inline registry exactly.
+  enforced.
 """
 
 from __future__ import annotations
@@ -39,11 +33,8 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     Mutation,
     Query,
-    RebuildConfig,
-    RebuildPool,
     RouterConfig,
     ShardedSkylineService,
     SkylineService,
@@ -66,8 +57,6 @@ SEED = 17
 SHARD_COUNTS = (1, 2, 4)
 #: timed repeat reads per cache configuration
 READ_REPEATS = 60
-#: mutation batches for the rebuild-latency comparison
-CHURN_ROUNDS = 30
 
 
 def _available_cpus() -> int:
@@ -139,7 +128,7 @@ def _router(points, ids, codec, shards, caches=True, **kw):
     )
     return ShardedSkylineService(
         "ds", points.copy(), ids=ids.copy(), codec=codec, config=config,
-        drift=DriftPolicy.never(), **kw,
+        **kw,
     )
 
 
@@ -170,10 +159,7 @@ def _measure_cached_reads(points, ids, codec) -> Dict[str, object]:
 def _measure_identity(points, ids, codec) -> Dict[str, object]:
     stream = _mutation_stream()
     registry = DatasetRegistry(keep_versions=16)
-    registry.register(
-        "ds", points.copy(), ids=ids.copy(), codec=codec,
-        drift=DriftPolicy.never(),
-    )
+    registry.register("ds", points.copy(), ids=ids.copy(), codec=codec)
     single = SkylineService(registry)
     for mutation in stream:
         single.mutate(mutation)
@@ -222,51 +208,6 @@ def _measure_scaling(points, ids, codec) -> Dict[str, object]:
     }
 
 
-def _measure_pooled_rebuilds(points, ids, codec) -> Dict[str, object]:
-    drift = DriftPolicy(max_deletes=10)
-
-    def churn(registry) -> List[float]:
-        samples = []
-        for i in range(CHURN_ROUNDS):
-            doomed = list(range(i * 4, i * 4 + 4))
-            start = time.perf_counter()
-            registry.delete("ds", doomed)
-            samples.append(time.perf_counter() - start)
-        return samples
-
-    inline = DatasetRegistry()
-    inline.register(
-        "ds", points.copy(), ids=ids.copy(), codec=codec, drift=drift,
-        rebuild=RebuildConfig(),
-    )
-    inline_lat = churn(inline)
-    inline_digest = inline.snapshot("ds").state_digest()
-
-    with RebuildPool(num_workers=2) as pool:
-        pooled = DatasetRegistry(rebuild_pool=pool)
-        pooled.register(
-            "ds", points.copy(), ids=ids.copy(), codec=codec, drift=drift,
-            rebuild=RebuildConfig(pooled=True),
-        )
-        pooled_lat = churn(pooled)
-        pooled.flush_rebuilds()
-        status = pooled.rebuild_status("ds")
-        pooled_digest = pooled.snapshot("ds").state_digest()
-        pool_stats = pool.stats()
-
-    return {
-        "churn_rounds": CHURN_ROUNDS,
-        "inline_mutation_p99_ms": round(_p(inline_lat, 99) * 1e3, 3),
-        "pooled_mutation_p99_ms": round(_p(pooled_lat, 99) * 1e3, 3),
-        "pooled_rebuilds_completed": status["pooled_rebuilds"],
-        "pooled_rebuilds_superseded": status["pooled_superseded"],
-        "pool": {
-            k: v for k, v in pool_stats.items() if k != "executor"
-        },
-        "digests_identical": pooled_digest == inline_digest,
-    }
-
-
 @pytest.fixture(scope="module")
 def measurements():
     points, ids, codec = _workload()
@@ -278,7 +219,6 @@ def measurements():
         "cached_reads": _measure_cached_reads(points, ids, codec),
         "identity": _measure_identity(points, ids, codec),
         "scaling": _measure_scaling(points, ids, codec),
-        "pooled_rebuilds": _measure_pooled_rebuilds(points, ids, codec),
         "gates": {
             "min_cached_speedup": MIN_CACHED_SPEEDUP,
             "min_scaling_4_over_1": MIN_SCALING,
@@ -320,18 +260,4 @@ class TestRouterScaling:
         assert ratio >= MIN_SCALING, (
             f"4-shard replay only {ratio}x the 1-shard throughput "
             f"(need >= {MIN_SCALING}x); see BENCH_router_scaling.json"
-        )
-
-    def test_pooled_rebuild_latency_and_digest(self, measurements):
-        pooled = measurements["pooled_rebuilds"]
-        assert pooled["pooled_rebuilds_completed"] >= 1
-        assert pooled["digests_identical"]
-        assert pooled["pool"]["failed"] == 0
-        assert (
-            pooled["pooled_mutation_p99_ms"]
-            <= pooled["inline_mutation_p99_ms"]
-        ), (
-            "pooled mutation p99 regressed past the inline path "
-            "(which pays the full recompute in the writer thread); "
-            "see BENCH_router_scaling.json"
         )

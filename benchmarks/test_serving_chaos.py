@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     ServiceConfig,
     ServingFaultPlan,
     SkylineService,
@@ -76,7 +75,7 @@ def _chaos_replay(tmp_dir: str, plan: ServingFaultPlan):
         fault_plan=plan if plan.any_faults else None,
     )
     rng = np.random.default_rng(11)
-    registry.register("bench", _grid(rng, 1200), drift=DriftPolicy.never())
+    registry.register("bench", _grid(rng, 1200))
     config = ServiceConfig(
         fault_plan=plan if plan.any_faults else None
     )
@@ -161,7 +160,7 @@ class TestCrashRecovery:
                 checkpoint_every=4,
                 fault_plan=plan,
             )
-            registry.register("ds", base, drift=DriftPolicy.never())
+            registry.register("ds", base)
             service_config = ServiceConfig(fault_plan=plan)
             with SkylineService(registry, config=service_config) as service:
                 from repro.serving import Mutation

@@ -23,7 +23,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import DatasetRegistry, DriftPolicy, Query, SkylineService
+from repro.serving import DatasetRegistry, Query, SkylineService
 from repro.streaming import (
     ContinuousQueryManager,
     FeedConfig,
@@ -73,7 +73,7 @@ class TestStreamingSLO:
         ).astype(np.float64)
         metrics = MetricsRegistry()
         registry = DatasetRegistry(metrics=metrics, keep_versions=4)
-        registry.register("stream", seed_points, drift=DriftPolicy.never())
+        registry.register("stream", seed_points)
         hub = SubscriptionHub(metrics=metrics).attach(registry)
         manager = ContinuousQueryManager(metrics=metrics).attach(registry)
         manager.register("windowed", "stream", WindowSpec.count(WINDOW))

@@ -25,7 +25,6 @@ import numpy as np
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     ServiceConfig,
     ServingFaultPlan,
     SkylineClient,
@@ -42,11 +41,7 @@ def main() -> None:
 
     metrics = MetricsRegistry()
     registry = DatasetRegistry(metrics=metrics)
-    registry.register(
-        "hotels",
-        hotels,
-        drift=DriftPolicy.bounded(max_deletes=200),
-    )
+    registry.register("hotels", hotels)
 
     with SkylineService(registry, metrics=metrics) as service:
         client = SkylineClient(service, "hotels")
@@ -94,10 +89,6 @@ def main() -> None:
             f"cache hit rate {summary['cache_hit_rate']:.0%}, "
             f"read p99 {summary['read_latency_seconds']['p99'] * 1e3:.2f} ms"
         )
-        print(
-            f"drift rebuilds so far: "
-            f"{metrics.counter('serving', 'drift_rebuilds')}"
-        )
 
 
 def chaos_main() -> None:
@@ -125,7 +116,7 @@ def chaos_main() -> None:
             checkpoint_every=8,
             fault_plan=plan,
         )
-        registry.register("hotels", hotels, drift=DriftPolicy.never())
+        registry.register("hotels", hotels)
 
         with SkylineService(
             registry, config=ServiceConfig(fault_plan=plan), metrics=metrics

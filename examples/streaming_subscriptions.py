@@ -19,7 +19,7 @@ Run:  python examples/streaming_subscriptions.py
 import numpy as np
 
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import DatasetRegistry, DriftPolicy, SkylineClient, SkylineService
+from repro.serving import DatasetRegistry, SkylineClient, SkylineService
 from repro.streaming import (
     ContinuousQueryManager,
     FeedConfig,
@@ -42,7 +42,7 @@ def main() -> None:
 
     metrics = MetricsRegistry()
     registry = DatasetRegistry(metrics=metrics, keep_versions=8)
-    registry.register("hotels", seed, drift=DriftPolicy.never())
+    registry.register("hotels", seed)
 
     # Both consumers ride the registry's publish hook: the hub pushes
     # skyline diffs, the manager advances windowed continuous queries.

@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read-query worker threads")
     serve.add_argument("--cache-size", type=int, default=512,
                        help="result-cache entries (0 disables caching)")
-    serve.add_argument("--max-deletes", type=int, default=None,
-                       help="drift policy: rebuild after this many deletes")
     serve.add_argument("--timeout", type=float, default=None,
                        metavar="SECONDS", help="per-request deadline")
     serve.add_argument("--seed", type=int, default=0)
@@ -239,12 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="WAL + checkpoint directory (enables crash recovery; "
              "defaults to a temp dir when --faults injects writer "
              "crashes)",
-    )
-    serve.add_argument(
-        "--pooled-rebuilds", type=int, default=0, metavar="WORKERS",
-        help="run drift rebuilds asynchronously on a shared process "
-             "pool with WORKERS workers instead of inline in the "
-             "writer thread (0 = inline); pairs with --max-deletes",
     )
     serve.add_argument(
         "--retries", type=int, default=1, metavar="N",
@@ -548,9 +540,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serving import (
         AdmissionConfig,
         DatasetRegistry,
-        DriftPolicy,
-        RebuildConfig,
-        RebuildPool,
         RouterConfig,
         ServiceConfig,
         ServingFaultPlan,
@@ -581,19 +570,11 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             # recover from; keep the artefacts out of the caller's cwd.
             scratch = tempfile.TemporaryDirectory(prefix="repro-wal-")
             durability_dir = scratch.name
-        drift = DriftPolicy.bounded(max_deletes=args.max_deletes)
         config = ServiceConfig(
             admission=AdmissionConfig(read_concurrency=args.workers),
             cache_entries=args.cache_size,
             fault_plan=plan,
         )
-        pool: Optional[RebuildPool] = None
-        rebuild: Optional[RebuildConfig] = None
-        if args.pooled_rebuilds > 0:
-            pool = RebuildPool(num_workers=args.pooled_rebuilds)
-            rebuild = RebuildConfig(
-                pooled=True, num_workers=args.pooled_rebuilds
-            )
         if args.shards > 0:
             service_cm = ShardedSkylineService.from_dataset(
                 "bench",
@@ -608,9 +589,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 metrics=metrics,
                 durability_dir=durability_dir,
                 fault_plan=plan,
-                drift=drift,
-                rebuild=rebuild,
-                rebuild_pool=pool,
                 tracer=tracer,
             )
         else:
@@ -618,11 +596,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 metrics=metrics,
                 durability_dir=durability_dir,
                 fault_plan=plan,
-                rebuild_pool=pool,
             )
             registry.register_dataset(
-                "bench", dataset, bits_per_dim=args.bits, drift=drift,
-                rebuild=rebuild,
+                "bench", dataset, bits_per_dim=args.bits
             )
             service_cm = SkylineService(
                 registry, config=config, metrics=metrics, tracer=tracer
@@ -645,19 +621,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.shards > 0:
         print(f"shards    : {service_cm.num_shards}")
     router_stats: Optional[dict] = None
-    rebuild_states: Optional[dict] = None
     try:
         with service_cm as service:
             report = replay_workload(service, spec)
-            if pool is not None:
-                if args.shards > 0:
-                    service.flush_rebuilds()
-                    rebuild_states = service.rebuild_status()
-                else:
-                    service.registry.flush_rebuilds()
-                    rebuild_states = {
-                        0: service.registry.rebuild_status("bench")
-                    }
             if args.shards > 0:
                 stats = {}
                 shard_states = service.shard_states()
@@ -666,8 +632,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 stats = service.admission.stats()
                 shard_states = None
     finally:
-        if pool is not None:
-            pool.close()
         if scratch is not None:
             scratch.cleanup()
     print(f"dataset   : {dataset.name}")
@@ -752,14 +716,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     for key, value in sorted(cache_stats.items())
                 )
                 print(f"{cache_name:20s}: {parts}")
-    if rebuild_states is not None:
-        for sid, status in sorted(rebuild_states.items()):
-            print(
-                f"{'rebuilds ' + str(sid):20s}: "
-                f"pooled={status['pooled_rebuilds']} "
-                f"superseded={status['pooled_superseded']}"
-            )
-        print(f"{'rebuild_pool':20s}: {pool.stats()}")
     if args.trace_out:
         count = tracer.export_jsonl(args.trace_out)
         print(f"{'trace':20s}: wrote {count} spans to {args.trace_out}")
@@ -801,7 +757,7 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
     import numpy as np
 
     from repro.observability.metrics import MetricsRegistry
-    from repro.serving import DatasetRegistry, DriftPolicy, Query, SkylineService
+    from repro.serving import DatasetRegistry, Query, SkylineService
     from repro.streaming import (
         ContinuousQueryManager,
         FeedConfig,
@@ -816,10 +772,7 @@ def _cmd_stream_bench(args: argparse.Namespace) -> int:
     )
     metrics = MetricsRegistry()
     registry = DatasetRegistry(metrics=metrics, keep_versions=4)
-    registry.register_dataset(
-        "stream", dataset, bits_per_dim=args.bits,
-        drift=DriftPolicy.never(),
-    )
+    registry.register_dataset("stream", dataset, bits_per_dim=args.bits)
     hub = SubscriptionHub(metrics=metrics).attach(registry)
     manager = ContinuousQueryManager(metrics=metrics).attach(registry)
     window_spec = (

@@ -66,9 +66,8 @@ class SkylineMaintainer:
         """Adopt precomputed state without re-deriving the skyline.
 
         ``skyline_ids`` must identify the exact skyline rows of
-        ``(points, ids)`` — e.g. the output of a full pipeline run.  The
-        drift-rebuild path uses this to swap a freshly recomputed
-        skyline in beneath an unchanged archive.
+        ``(points, ids)`` — e.g. the output of a full pipeline run at
+        registration, or a durable checkpoint's skyline on recovery.
         """
         points = np.asarray(points, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)

@@ -348,37 +348,4 @@ class ProcessPoolCluster(SimulatedCluster):
         return results
 
 
-class SharedProcessPoolCluster(ProcessPoolCluster):
-    """A process pool that survives the engine's per-run ``shutdown()``.
-
-    ``SkylineEngine.run`` tears its cluster down in a ``finally`` —
-    correct for per-run ownership, wasteful for a pool shared across
-    many runs (the serving registry's rebuild pool).  Here
-    :meth:`shutdown` is a no-op and the owner calls :meth:`close` when
-    it is done; worker processes and their installed distributed cache
-    persist between runs.  Publishing *different* cache bytes still
-    retires the current workers (they hold the stale cache), so the
-    next round starts fresh ones — correctness over reuse.
-    """
-
-    def publish_cache(self, cache) -> None:
-        payload = pickle.dumps(cache, protocol=pickle.HIGHEST_PROTOCOL)
-        if payload != self._cache_bytes:
-            super().shutdown()
-            self._cache_bytes = payload
-
-    def shutdown(self) -> None:
-        """No-op: per-run teardown must not kill a shared pool."""
-
-    def close(self) -> None:
-        """Really terminate the worker processes (owner-only)."""
-        super().shutdown()
-
-    def __del__(self) -> None:  # pragma: no cover - GC-order dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-__all__ = ["ProcessPoolCluster", "SharedProcessPoolCluster", "worker_cache"]
+__all__ = ["ProcessPoolCluster", "worker_cache"]

@@ -54,9 +54,11 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
     """Write via tmp file + ``os.replace`` so readers never observe a
     half-written file (the crash-consistency contract of the store).
 
-    Shared by this store and the serving tier's WAL/durable-snapshot
-    store (:mod:`repro.serving.wal`) so every durable artefact in the
-    repo has the same torn-write guarantee.
+    The payload is fsynced before the rename and the parent directory
+    after it, so once this returns the new file survives a power cut
+    under its final name.  Shared by this store and the serving tier's
+    WAL/durable-snapshot store (:mod:`repro.serving.wal`) so every
+    durable artefact in the repo has the same guarantee.
     """
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as handle:
@@ -64,6 +66,11 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 #: backwards-compatible private alias (pre-serving-tier name)

@@ -45,13 +45,7 @@ from repro.serving.client import (
 )
 from repro.serving.faults import ServingFaultPlan
 from repro.serving.health import HealthMonitor
-from repro.serving.registry import (
-    DatasetRegistry,
-    DriftPolicy,
-    PublishResult,
-    RebuildConfig,
-    RebuildPool,
-)
+from repro.serving.registry import DatasetRegistry, PublishResult
 from repro.serving.resilience import (
     CircuitBreaker,
     RetryBudget,
@@ -80,7 +74,6 @@ __all__ = [
     "CircuitBreaker",
     "DatasetRegistry",
     "DatasetStore",
-    "DriftPolicy",
     "HealthMonitor",
     "MergeCache",
     "MergedSkyline",
@@ -90,8 +83,6 @@ __all__ = [
     "PublishResult",
     "Query",
     "QueryResult",
-    "RebuildConfig",
-    "RebuildPool",
     "ReplayReport",
     "ResultCache",
     "RetryBudget",

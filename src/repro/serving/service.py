@@ -750,7 +750,6 @@ class SkylineService:
             span.update(
                 version=publish.version,
                 skyline=publish.skyline_size,
-                rebuilt=publish.rebuilt,
             )
             return MutationResult(
                 publish=publish,

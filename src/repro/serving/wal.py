@@ -234,7 +234,6 @@ class DurableState:
     points: np.ndarray
     ids: np.ndarray
     sky_ids: np.ndarray
-    deletes_since_rebuild: int
 
 
 class DatasetStore:
@@ -263,30 +262,31 @@ class DatasetStore:
         points: np.ndarray,
         ids: np.ndarray,
         sky_ids: np.ndarray,
-        deletes_since_rebuild: int = 0,
     ) -> None:
         """Persist the current state and rotate the WAL.
 
-        Order matters for crash consistency: state file first (tmp +
-        rename), then meta (tmp + rename; the commit point), then WAL
-        rotation.  A crash after any step still recovers exactly —
-        replay skips WAL seqs the checkpoint already covers.
+        Order matters for crash consistency: state file first, then
+        meta (the commit point), then WAL rotation, each written with
+        :func:`~repro.pipeline.checkpoint.atomic_write_bytes` (fsync,
+        rename, fsync the directory), so the meta can never name a
+        state file that did not reach the disk.  A crash after any step
+        still recovers exactly — replay skips WAL seqs the checkpoint
+        already covers.
         """
         from repro.pipeline.serialization import codec_to_dict
 
         points = np.ascontiguousarray(points, dtype=np.float64)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         sky_ids = np.ascontiguousarray(sky_ids, dtype=np.int64)
-        tmp = f"{self.state_path}.tmp.npz"
-        np.savez(tmp, points=points, ids=ids, sky_ids=sky_ids)
-        os.replace(tmp, self.state_path)
+        state = io.BytesIO()
+        np.savez(state, points=points, ids=ids, sky_ids=sky_ids)
+        atomic_write_bytes(self.state_path, state.getvalue())
         meta = {
             "format": _FORMAT_VERSION,
             "dataset": self.dataset,
             "seq": int(seq),
             "version": int(version),
             "crc32": _state_crc(points, ids, sky_ids),
-            "deletes_since_rebuild": int(deletes_since_rebuild),
             "codec": codec_to_dict(codec),
         }
         atomic_write_bytes(
@@ -333,7 +333,6 @@ class DatasetStore:
             points=points,
             ids=ids,
             sky_ids=sky_ids,
-            deletes_since_rebuild=int(meta.get("deletes_since_rebuild", 0)),
         )
 
     def close(self) -> None:

@@ -2,10 +2,12 @@
 
 The load-bearing guarantee: every service answer is bit-identical to a
 fresh offline computation over the same snapshot's alive set — cached
-or not, incremental or drift-rebuilt, whatever the codec.
+or not, after any mutation stream, whatever the codec.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -27,14 +29,13 @@ from repro.serving import (
     AdmissionConfig,
     AdmissionController,
     DatasetRegistry,
-    DriftPolicy,
     Mutation,
     Query,
-    RebuildConfig,
     ResultCache,
     ServiceConfig,
     SkylineClient,
     SkylineService,
+    Snapshot,
     WorkloadSpec,
     replay_workload,
 )
@@ -92,28 +93,8 @@ class TestSnapshot:
 
 
 # ----------------------------------------------------------------------
-# drift policy + registry
+# registry
 # ----------------------------------------------------------------------
-class TestDriftPolicy:
-    def test_never(self):
-        policy = DriftPolicy.never()
-        assert not policy.should_rebuild(10**9, 1)
-
-    def test_absolute_bound(self):
-        policy = DriftPolicy.bounded(max_deletes=5, max_delete_fraction=None)
-        assert not policy.should_rebuild(5, 1000)
-        assert policy.should_rebuild(6, 1000)
-
-    def test_fraction_bound(self):
-        policy = DriftPolicy.bounded(max_delete_fraction=0.5)
-        assert not policy.should_rebuild(50, 100)
-        assert policy.should_rebuild(51, 100)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            DriftPolicy(max_deletes=-1)
-
-
 class TestRegistry:
     def test_register_requires_grid_points(self):
         registry = DatasetRegistry()
@@ -161,45 +142,73 @@ class TestRegistry:
             np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
         )
 
-    def test_drift_rebuild_triggers_and_resets(self, rng):
+    def test_skyline_biased_churn_stays_exact(self, rng, tmp_path):
+        """Incremental maintenance is exact with no periodic recompute.
+
+        Registration at this size takes the pipeline branch; then 64
+        insert+delete rounds, most deletes hitting current skyline
+        members, delete over half the original alive set.  Every round
+        matches the oracle, and the final state equals both a fresh
+        registration of the surviving points and a cold adoption of the
+        durable home.
+        """
+        codec = ZGridCodec.grid_identity(3, bits_per_dim=6)
         metrics = MetricsRegistry()
-        registry = DatasetRegistry(metrics=metrics)
-        registry.register(
-            "a",
-            grid_points(rng, 60, 3),
-            drift=DriftPolicy.bounded(
-                max_deletes=5, max_delete_fraction=None
-            ),
+        registry = DatasetRegistry(
+            metrics=metrics, durability_dir=str(tmp_path),
+            checkpoint_every=7,
         )
-        pub = registry.delete("a", [0, 1, 2])
-        assert not pub.rebuilt
-        pub = registry.delete("a", [3, 4, 5])  # 6 > 5 -> rebuild
-        assert pub.rebuilt
-        assert metrics.counter("serving", "drift_rebuilds") == 1
-        # Counter reset: the next small delete is incremental again.
-        pub = registry.delete("a", [6])
-        assert not pub.rebuilt
-        snap = registry.snapshot("a")
-        assert np.array_equal(
-            np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
-        )
+        registry.register("a", grid_points(rng, 640, 3, top=64), codec=codec)
+        assert metrics.counter("serving", "pipeline_rebuilds") == 1
+        next_id = 10_000
+        for _ in range(64):
+            registry.insert(
+                "a", grid_points(rng, 5, 3, top=64),
+                np.arange(next_id, next_id + 5),
+            )
+            next_id += 5
+            snap = registry.snapshot("a")
+            on_sky = rng.choice(
+                snap.sky_ids, size=min(4, snap.sky_ids.size), replace=False
+            )
+            rest = np.setdiff1d(snap.ids, on_sky)
+            registry.delete(
+                "a", np.concatenate([on_sky, rng.choice(rest, size=2,
+                                                         replace=False)])
+            )
+            snap = registry.snapshot("a")
+            assert np.array_equal(
+                np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
+            )
+        final = registry.snapshot("a")
+        assert final.size == 640 + 64 * 5 - 64 * 6
+
+        fresh = DatasetRegistry()
+        fresh.register("a", final.points, ids=final.ids, codec=codec)
+        rebuilt = fresh.snapshot("a")
+        assert Snapshot.build(
+            "a", final.version, codec, rebuilt.points, rebuilt.ids,
+            rebuilt.sky_points, rebuilt.sky_ids,
+        ).state_digest() == final.state_digest()
+
+        adopted = DatasetRegistry(durability_dir=str(tmp_path / "copy"))
+        shutil.copytree(str(tmp_path / "a"), str(tmp_path / "copy" / "a"))
+        adopted.adopt("a")
+        assert adopted.snapshot("a").state_digest() == final.state_digest()
 
     def test_drift_rebuild_uses_pipeline_at_scale(self, rng):
+        """At scale the pipeline runs once, at registration; deletes past
+        what used to be a drift budget stay incremental and exact."""
         metrics = MetricsRegistry()
         registry = DatasetRegistry(metrics=metrics)
         points = grid_points(rng, 700, 3, top=64)
         registry.register(
-            "a",
-            points,
-            codec=ZGridCodec.grid_identity(3, bits_per_dim=6),
-            drift=DriftPolicy.bounded(max_deletes=3,
-                                      max_delete_fraction=None),
-            rebuild=RebuildConfig(num_workers=2, num_groups=4,
-                                  min_pipeline_size=512),
+            "a", points, codec=ZGridCodec.grid_identity(3, bits_per_dim=6)
         )
+        assert metrics.counter("serving", "pipeline_rebuilds") == 1
         pub = registry.delete("a", list(range(8)))
-        assert pub.rebuilt
-        assert metrics.counter("serving", "pipeline_rebuilds") >= 1
+        assert pub.version == 2
+        assert metrics.counter("serving", "pipeline_rebuilds") == 1
         snap = registry.snapshot("a")
         assert np.array_equal(
             np.sort(snap.sky_ids), oracle_sky_ids(snap.points, snap.ids)
@@ -482,8 +491,8 @@ class TestClientAndReplay:
 
 
 # ----------------------------------------------------------------------
-# property: service answers == fresh offline computation, across codecs
-# and drift policies, under arbitrary mutation streams
+# property: service answers == fresh offline computation, across codecs,
+# under arbitrary mutation streams
 # ----------------------------------------------------------------------
 @st.composite
 def mutation_stream(draw):
@@ -518,22 +527,15 @@ def mutation_stream(draw):
 
 
 @pytest.mark.parametrize("bits", [4, 6])
-@pytest.mark.parametrize(
-    "drift",
-    [DriftPolicy.never(),
-     DriftPolicy.bounded(max_deletes=2, max_delete_fraction=None)],
-    ids=["never", "bounded"],
-)
 @given(stream=mutation_stream())
 @settings(max_examples=15, deadline=None)
-def test_service_bit_identical_to_offline(bits, drift, stream):
+def test_service_bit_identical_to_offline(bits, stream):
     rng = np.random.default_rng(7)
     points = rng.integers(0, 16, size=(30, 3)).astype(np.float64)
     registry = DatasetRegistry()
     registry.register(
         "p", points,
         codec=ZGridCodec.grid_identity(3, bits_per_dim=bits),
-        drift=drift,
     )
     with SkylineService(registry) as service:
         for op, payload in stream:

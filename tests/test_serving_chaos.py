@@ -24,7 +24,6 @@ from repro.core.exceptions import (
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     Mutation,
     Query,
     ServiceConfig,
@@ -80,7 +79,7 @@ def chaos_setup(tmp_path):
         fault_plan=plan,
     )
     rng = np.random.default_rng(99)
-    registry.register("ds", _grid(rng, 300), drift=DriftPolicy.never())
+    registry.register("ds", _grid(rng, 300))
     service = SkylineService(
         registry, ServiceConfig(fault_plan=plan), metrics=metrics
     )
@@ -166,7 +165,7 @@ class TestChaosHammer:
         metrics = MetricsRegistry()
         registry = DatasetRegistry(metrics=metrics, keep_versions=8)
         rng = np.random.default_rng(0)
-        registry.register("ds", _grid(rng, 150), drift=DriftPolicy.never())
+        registry.register("ds", _grid(rng, 150))
         with SkylineService(
             registry, ServiceConfig(fault_plan=plan), metrics=metrics
         ) as service:
@@ -260,7 +259,7 @@ class TestReplayDeterminism:
             fault_plan=plan,
         )
         rng = np.random.default_rng(3)
-        registry.register("ds", _grid(rng, 200), drift=DriftPolicy.never())
+        registry.register("ds", _grid(rng, 200))
         with SkylineService(
             registry, ServiceConfig(fault_plan=plan), metrics=metrics
         ) as service:
@@ -293,9 +292,7 @@ class TestReplayDeterminism:
         def run(retries, tag):
             registry = DatasetRegistry(keep_versions=8)
             rng = np.random.default_rng(3)
-            registry.register(
-                "ds", _grid(rng, 200), drift=DriftPolicy.never()
-            )
+            registry.register("ds", _grid(rng, 200))
             with SkylineService(registry) as service:
                 report = replay_workload(
                     service,

@@ -25,7 +25,6 @@ from repro.extensions.kdominant import k_dominant_skyline
 from repro.extensions.subspace import subspace_skyline
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     Mutation,
     Query,
     SkylineService,
@@ -45,11 +44,7 @@ class TestSnapshotIsolationUnderWrites:
     def test_readers_never_observe_torn_versions(self, rng):
         registry = DatasetRegistry(keep_versions=4)
         points = rng.integers(0, TOP, size=(120, DIMS)).astype(np.float64)
-        registry.register(
-            "h", points,
-            drift=DriftPolicy.bounded(max_deletes=30,
-                                      max_delete_fraction=None),
-        )
+        registry.register("h", points)
         errors: list = []
         stop = threading.Event()
 

@@ -30,7 +30,6 @@ from repro.core.skyline import skyline_indices_oracle
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import (
     DatasetRegistry,
-    DriftPolicy,
     Mutation,
     Query,
     RouterConfig,
@@ -57,9 +56,7 @@ def _grid(rng, n, d=D, cells=CELLS):
 
 def _single(points, ids):
     registry = DatasetRegistry(keep_versions=16)
-    registry.register(
-        "ds", points, ids=ids, codec=CODEC, drift=DriftPolicy.never()
-    )
+    registry.register("ds", points, ids=ids, codec=CODEC)
     return SkylineService(registry)
 
 
@@ -76,7 +73,6 @@ def _router(points, ids, shards, hedge=0.0, **kw):
         ids=ids,
         codec=CODEC,
         config=config,
-        drift=DriftPolicy.never(),
         **kw,
     )
 
@@ -769,7 +765,6 @@ class TestMergeCacheIdentity:
         )
         with ShardedSkylineService(
             "ds", points, ids=ids, codec=CODEC, config=config,
-            drift=DriftPolicy.never(),
         ) as router:
             for query in _all_variants():
                 got = router.query(query)

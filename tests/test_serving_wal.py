@@ -1,11 +1,14 @@
 """WAL framing, durable checkpoints, and crash/replay bit-identity."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
 from repro.core.exceptions import ConfigurationError, WriterDownError
 from repro.serving.faults import WRITER_PHASES, ServingFaultPlan
-from repro.serving.registry import DatasetRegistry, DriftPolicy
+from repro.serving.registry import DatasetRegistry
 from repro.serving.wal import DatasetStore, MutationWAL, WalRecord
 from repro.zorder.encoding import ZGridCodec
 
@@ -91,7 +94,7 @@ class TestDatasetStore:
         sky_ids = ids[:7]
         store.save_checkpoint(
             codec, seq=9, version=9, points=points, ids=ids,
-            sky_ids=sky_ids, deletes_since_rebuild=4,
+            sky_ids=sky_ids,
         )
         return store, points, ids, sky_ids
 
@@ -100,7 +103,6 @@ class TestDatasetStore:
         state = store.load_checkpoint()
         assert state is not None
         assert state.seq == 9 and state.version == 9
-        assert state.deletes_since_rebuild == 4
         np.testing.assert_array_equal(state.points, points)
         np.testing.assert_array_equal(state.ids, ids)
         np.testing.assert_array_equal(state.sky_ids, sky_ids)
@@ -121,6 +123,43 @@ class TestDatasetStore:
     def test_checkpoint_rotates_wal(self, tmp_path):
         store, *_ = self._store_state(tmp_path)
         assert store.wal.replay().records == ()
+
+    def test_state_file_synced_before_meta_commit(
+        self, tmp_path, monkeypatch
+    ):
+        """The meta commit must never name a state file that is not on
+        disk: the state bytes are fsynced, renamed into place and the
+        directory fsynced, all before meta.json is replaced."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino,
+                           os.path.basename(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store, *_ = self._store_state(tmp_path)
+        monkeypatch.undo()
+
+        def replaced(name):
+            (at,) = [i for i, e in enumerate(events)
+                     if e[0] == "replace" and e[2] == name]
+            return at, events[at][1]
+
+        state_at, state_ino = replaced("state.npz")
+        meta_at, meta_ino = replaced("meta.json")
+        dir_sync = ("fsync", os.stat(store.directory).st_ino)
+        assert state_at < meta_at
+        assert ("fsync", state_ino) in events[:state_at]
+        assert dir_sync in events[state_at:meta_at]
+        assert ("fsync", meta_ino) in events[state_at:meta_at]
+        assert dir_sync in events[meta_at:]
 
 
 # ----------------------------------------------------------------------
@@ -166,12 +205,45 @@ def _apply_all(registry, name, ops):
 
 
 class TestRegistryDurability:
+    def test_adopts_checkpoint_with_legacy_rebuild_counter(self, tmp_path):
+        """Checkpoints written before the drift counter was dropped carry
+        a ``deletes_since_rebuild`` meta key (and a state file written
+        by ``np.savez`` to its path); adoption ignores the key and
+        reconstructs the identical state."""
+        base, ops = _mutation_sequence(seed=6, batches=10)
+        registry = DatasetRegistry(
+            durability_dir=str(tmp_path), checkpoint_every=4
+        )
+        registry.register("ds", base)
+        _apply_all(registry, "ds", ops)
+        expected = registry.snapshot("ds")
+
+        store = DatasetStore(str(tmp_path), "ds")
+        with open(store.meta_path) as handle:
+            meta = json.load(handle)
+        assert "deletes_since_rebuild" not in meta
+        legacy = {
+            key: meta[key]
+            for key in ("format", "dataset", "seq", "version", "crc32")
+        }
+        legacy["deletes_since_rebuild"] = 3
+        legacy["codec"] = meta["codec"]
+        with open(store.meta_path, "w") as handle:
+            json.dump(legacy, handle, indent=1)
+        with np.load(store.state_path) as payload:
+            arrays = {name: payload[name] for name in payload.files}
+        np.savez(store.state_path, **arrays)
+
+        fresh = DatasetRegistry(durability_dir=str(tmp_path))
+        fresh.adopt("ds")
+        assert fresh.snapshot("ds").state_digest() == expected.state_digest()
+
     def test_recover_is_idempotent_and_bit_identical(self, tmp_path):
         base, ops = _mutation_sequence()
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=4
         )
-        registry.register("ds", base, drift=DriftPolicy.never())
+        registry.register("ds", base)
         _apply_all(registry, "ds", ops)
         before = registry.snapshot("ds")
         result = registry.recover("ds")
@@ -187,7 +259,7 @@ class TestRegistryDurability:
         clean = DatasetRegistry(
             durability_dir=str(tmp_path / "clean"), checkpoint_every=4
         )
-        clean.register("ds", base, drift=DriftPolicy.never())
+        clean.register("ds", base)
         _apply_all(clean, "ds", ops)
         expected = clean.snapshot("ds")
 
@@ -200,7 +272,7 @@ class TestRegistryDurability:
             checkpoint_every=4,
             fault_plan=plan,
         )
-        registry.register("ds", base, drift=DriftPolicy.never())
+        registry.register("ds", base)
         _apply_all(registry, "ds", ops)
         recovered = registry.snapshot("ds")
         assert recovered.version == expected.version
@@ -215,7 +287,7 @@ class TestRegistryDurability:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), fault_plan=plan
         )
-        registry.register("ds", base, drift=DriftPolicy.never())
+        registry.register("ds", base)
         pts = _points(rng, 3)
         with pytest.raises(WriterDownError) as excinfo:
             registry.insert("ds", pts, [900, 901, 902])
@@ -246,7 +318,7 @@ class TestRegistryDurability:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), fault_plan=plan
         )
-        registry.register("ds", base, drift=DriftPolicy.never())
+        registry.register("ds", base)
         with pytest.raises(WriterDownError) as excinfo:
             registry.insert("ds", _points(rng, 2), [700, 701])
         assert excinfo.value.applied is False
@@ -261,7 +333,7 @@ class TestRegistryDurability:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=100
         )
-        registry.register("ds", base, drift=DriftPolicy.never())
+        registry.register("ds", base)
         registry.insert("ds", _points(rng, 2), [800, 801])
         # tear the WAL tail by hand (crash mid-append of seq 3)
         wal_path = tmp_path / "ds" / "wal.log"
@@ -283,7 +355,7 @@ class TestRegistryDurability:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=3
         )
-        registry.register("ds", _points(rng, 60), drift=DriftPolicy.never())
+        registry.register("ds", _points(rng, 60))
         next_id = 2000
         for _ in range(3):
             registry.insert("ds", _points(rng, 2), [next_id, next_id + 1])
@@ -306,7 +378,7 @@ class TestRegistryDurability:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=100
         )
-        registry.register("ds", _points(rng, 40), drift=DriftPolicy.never())
+        registry.register("ds", _points(rng, 40))
         registry.insert("ds", _points(rng, 2), [500, 501])
         with pytest.raises(DatasetError, match="already alive"):
             registry.insert("ds", _points(rng, 1), [500])
@@ -342,14 +414,14 @@ class TestRotationBoundary:
         base, ops = _mutation_sequence(seed=8, batches=11)
         # ground truth: same batches, no durability machinery at all
         clean = DatasetRegistry(keep_versions=64)
-        clean.register("ds", base, drift=DriftPolicy.never())
+        clean.register("ds", base)
         _apply_all(clean, "ds", ops)
         expected = clean.snapshot("ds")
 
         durable = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=3
         )
-        durable.register("ds", base, drift=DriftPolicy.never())
+        durable.register("ds", base)
         _apply_all(durable, "ds", ops)
         # the cadence (every 3) rotated at least once, and the live WAL
         # holds only frames past the last checkpoint
@@ -361,7 +433,7 @@ class TestRotationBoundary:
 
         # cold-start adoption (the failover path) spans the boundary
         fresh = DatasetRegistry(durability_dir=str(tmp_path))
-        result = fresh.adopt("ds", drift=DriftPolicy.never())
+        result = fresh.adopt("ds")
         recovered = fresh.snapshot("ds")
         assert result.recovered
         assert recovered.version == expected.version
@@ -375,7 +447,7 @@ class TestRotationBoundary:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=1
         )
-        registry.register("ds", _points(rng, 40), drift=DriftPolicy.never())
+        registry.register("ds", _points(rng, 40))
         registry.insert("ds", _points(rng, 2), [600, 601])
         # checkpoint_every=1: every publish checkpoints + rotates, so
         # the live WAL is empty and the checkpoint ends at seq 2
@@ -399,7 +471,7 @@ class TestRotationBoundary:
         registry = DatasetRegistry(
             durability_dir=str(tmp_path), checkpoint_every=100
         )
-        registry.register("ds", _points(rng, 40), drift=DriftPolicy.never())
+        registry.register("ds", _points(rng, 40))
         registry.insert("ds", _points(rng, 2), [700, 701])
         registry.delete("ds", [0])
         expected = registry.snapshot("ds")
@@ -412,7 +484,6 @@ class TestRotationBoundary:
         store.save_checkpoint(
             snap.codec, seq=3, version=3, points=snap.points,
             ids=snap.ids, sky_ids=snap.sky_ids,
-            deletes_since_rebuild=0,
         )
         # save_checkpoint rotates; write the pre-rotation frames back
         for record in wal_records:
@@ -420,7 +491,7 @@ class TestRotationBoundary:
         store.wal.close()
 
         fresh = DatasetRegistry(durability_dir=str(tmp_path))
-        fresh.adopt("ds", drift=DriftPolicy.never())
+        fresh.adopt("ds")
         recovered = fresh.snapshot("ds")
         assert recovered.version == expected.version
         assert recovered.state_digest() == expected.state_digest()

@@ -28,7 +28,7 @@ from repro.core.exceptions import (
 )
 from repro.maintenance.window import SlidingWindowSkyline
 from repro.observability.metrics import MetricsRegistry
-from repro.serving import DatasetRegistry, DriftPolicy
+from repro.serving import DatasetRegistry
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.client import SkylineClient
 from repro.serving.service import SkylineService
@@ -60,9 +60,7 @@ def _grid(rng, n, d=DIMS):
 
 def _registry(points, ids=None, **kw):
     registry = DatasetRegistry(keep_versions=8, **kw)
-    registry.register(
-        "ds", points, ids=ids, codec=_codec(), drift=DriftPolicy.never()
-    )
+    registry.register("ds", points, ids=ids, codec=_codec())
     return registry
 
 
@@ -589,7 +587,7 @@ class TestIngestFeed:
         takeover = DatasetRegistry(
             keep_versions=8, durability_dir=str(tmp_path)
         )
-        takeover.adopt("ds", drift=DriftPolicy.never())
+        takeover.adopt("ds")
         assert takeover.snapshot("ds").state_digest() == want
 
     def test_feed_timestamp_regression_rejected(self):
