@@ -14,7 +14,7 @@ import numpy as np
 from repro import run_plan
 from repro.core.dataset import Dataset
 from repro.extensions import rank_skyline, why_not
-from repro.maintenance import SlidingWindowSkyline
+from repro.streaming import WindowSkyline, WindowSpec
 from repro.zorder import ZGridCodec, quantize_dataset
 
 CRITERIA = ["fee_pct", "volatility", "neg_return", "neg_liquidity"]
@@ -75,8 +75,8 @@ def main() -> None:
 
     # Quarterly updates: shortlist over the last 2000 filings.
     codec = ZGridCodec.grid_identity(4, bits_per_dim=12)
-    window = SlidingWindowSkyline(codec, window_size=2000)
-    window.extend(snapped.points[:3000])
+    window = WindowSkyline(codec, WindowSpec.count(2000))
+    window.extend(snapped.points[:3000], snapped.ids[:3000])
     print(
         f"\nsliding window: {window.size} live filings, "
         f"{window.skyline_size} on the rolling shortlist"

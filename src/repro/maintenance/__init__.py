@@ -13,6 +13,5 @@ keeps the skyline of a changing set:
 """
 
 from repro.maintenance.maintainer import SkylineMaintainer
-from repro.maintenance.window import SlidingWindowSkyline
 
-__all__ = ["SkylineMaintainer", "SlidingWindowSkyline"]
+__all__ = ["SkylineMaintainer"]

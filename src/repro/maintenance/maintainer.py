@@ -112,6 +112,10 @@ class SkylineMaintainer:
         points = np.vstack([self._archive[int(i)] for i in ids])
         return points, ids
 
+    def __contains__(self, point_id: int) -> bool:
+        """Is ``point_id`` alive (inserted and not yet deleted)?"""
+        return int(point_id) in self._archive
+
     def skyline_id_set(self) -> FrozenSet[int]:
         """The skyline's id-set, cached between mutations (O(1) reads)."""
         cached = self._sky_id_cache

@@ -5,21 +5,22 @@ independent :class:`~repro.serving.service.SkylineService` shards, each
 owning one contiguous Z-address range of the dataset
 (:class:`~repro.serving.shard.ShardMap` — the paper's equidepth
 partitioning reused as a shard map).  Queries scatter to the shards
-that can contribute and the coordinator gathers:
+that can contribute and the coordinator gathers.  Its one algorithm
+of its own is the paper's Z-merge of dominance-free partial skylines
+(:func:`~repro.zorder.zmerge.zmerge_all`); every query kind then runs
+through the single service's own executor
+(:func:`~repro.serving.service.execute_on_snapshot`) on a view of the
+gathered rows:
 
-* **full** — each shard answers its local skyline; the coordinator
-  folds the (dominance-free) candidate sets with the paper's Z-merge
-  (:func:`~repro.zorder.zmerge.zmerge_all`), yielding exactly the
-  global skyline;
-* **subspace** — per-shard subspace candidates, recomputed on the
-  union (membership survives against fewer competitors, so the union
-  of local answers always contains the global one);
+* **full** — the shards' skylines Z-merged into exactly the global
+  skyline;
+* **subspace** — the executor recomputes over the union of per-shard
+  subspace answers (membership survives against fewer competitors, so
+  the union of local answers always contains the global one);
 * **kdominant** — k-dominance is **not transitive**, so it does not
-  decompose: the coordinator gathers all alive rows and computes on
-  the union;
+  decompose: the executor runs on the alive union;
 * **topk** — ranked over the Z-merged global skyline (dominance /
-  representative methods additionally gather the alive union their
-  scores count over);
+  representative methods score over the alive union);
 * **explain** — why-not against the alive union.
 
 Robustness features, all seeded and replayable via
@@ -81,10 +82,12 @@ from repro.core.exceptions import (
     DatasetError,
     ShardDownError,
 )
-from repro.extensions.explain import WhyNotExplanation, why_not
-from repro.extensions.kdominant import k_dominant_skyline
-from repro.extensions.ranking import rank_skyline, top_k_skyline
-from repro.extensions.subspace import subspace_skyline
+# Not called here (the service's executors are); perfbench's traced run
+# patches the kernels at these names, so they stay importable.
+from repro.extensions.explain import why_not  # noqa: F401
+from repro.extensions.kdominant import k_dominant_skyline  # noqa: F401
+from repro.extensions.ranking import rank_skyline, top_k_skyline  # noqa: F401
+from repro.extensions.subspace import subspace_skyline  # noqa: F401
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.cache import MergeCache, MergedSkyline, ResultCache
 from repro.serving.faults import ServingFaultPlan
@@ -113,7 +116,7 @@ from repro.serving.shard import (
 )
 from repro.serving.snapshot import Snapshot
 from repro.zorder.encoding import ZGridCodec, quantize_dataset
-from repro.zorder.zbtree import OpCounter, build_zbtree
+from repro.zorder.zbtree import OpCounter
 from repro.zorder.zmerge import zmerge_all
 
 __all__ = ["RouterConfig", "ShardedSkylineService"]
@@ -276,6 +279,85 @@ class _RouterRegistryView:
     def version(self, name: str) -> int:
         self._router._check_dataset(name)
         return self._router.logical_version()
+
+
+class _GatheredView:
+    """The snapshot surface the service's query executors read
+    (:func:`~repro.serving.service.execute_on_snapshot`), assembled
+    from one pinned scatter-gather.
+
+    ``points``/``ids`` are the gathered rows: the shards' subspace
+    answers for a subspace query, otherwise the id-sorted alive union
+    of the pinned snapshots — computed on first read and memoised on
+    the merge entry when there is one, so every query pinned to the
+    same vector shares it.  ``sky_points``/``sky_ids`` are the entry's
+    masked merged skyline; only ``full`` and ``topk`` read them, and
+    they are empty without an entry.
+    """
+
+    def __init__(
+        self, router: "ShardedSkylineService", snaps: Dict[int, Snapshot],
+        lost: List[int], entry: Optional[MergedSkyline],
+        rows: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        self._router = router
+        self._snaps = snaps
+        self._lost = lost
+        self._entry = entry
+        self._rows = rows
+        self.dimensions = int(router.codec.dimensions)
+        if entry is not None:
+            self.sky_points, self.sky_ids = entry.points, entry.ids
+        else:
+            self.sky_points, self.sky_ids = _empty(self.dimensions)
+
+    def _gathered(self) -> Tuple[np.ndarray, np.ndarray]:
+        if self._rows is None:
+            entry, snaps = self._entry, self._snaps
+            if entry is not None and entry.union_ids is not None:
+                self._rows = entry.union_points, entry.union_ids
+            else:
+                self._rows = _by_id(*_stack(
+                    [(snaps[s].points, snaps[s].ids) for s in sorted(snaps)],
+                    self.dimensions,
+                ))
+                if entry is not None:
+                    # A benign write race recomputes identical arrays.
+                    entry.union_points, entry.union_ids = self._rows
+        return self._rows
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._gathered()[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._gathered()[1]
+
+    @property
+    def size(self) -> int:
+        return int(self.ids.shape[0])
+
+    def point_of(self, point_id: int) -> np.ndarray:
+        """The gathered row of ``point_id``.  Raises
+        :class:`ShardDownError` when a lost shard owns the id and
+        :class:`DatasetError` when no pinned shard holds it alive."""
+        router = self._router
+        owner = router._owner.get(int(point_id))
+        if owner is not None and owner in self._lost:
+            raise ShardDownError(
+                f"point id {point_id} lives on down shard "
+                f"{owner} of {router.name!r}",
+                dataset=router.name, shard=owner,
+                terminal=router._shards[owner].terminal,
+                retry_after_seconds=router.config.breaker_cooldown_seconds,
+            )
+        row = np.flatnonzero(self.ids == int(point_id))
+        if row.shape[0] == 0:
+            raise DatasetError(
+                f"point id {point_id} is not alive in {router.name!r}"
+            )
+        return self.points[int(row[0])]
 
 
 class ShardedSkylineService:
@@ -714,47 +796,6 @@ class ShardedSkylineService:
     # ------------------------------------------------------------------
     # merging
     # ------------------------------------------------------------------
-    def _zmerge_candidates(
-        self, candidates: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold per-shard dominance-free candidate sets into the global
-        skyline with Z-merge, in canonical id order.
-
-        Fresh trees are built from the gathered arrays — ``zmerge``
-        consumes its skyline argument, so shard snapshot trees must
-        never be fed to it directly.
-        """
-        nonempty = [(p, i) for p, i in candidates if i.shape[0]]
-        if not nonempty:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        trees = [
-            build_zbtree(self.codec, np.asarray(p, dtype=np.float64), ids=i)
-            for p, i in nonempty
-        ]
-        merged = zmerge_all(trees, OpCounter())
-        _zs, pts, ids = merged.collect()
-        return _by_id(pts, ids)
-
-    def _alive_union(
-        self, snaps: Dict[int, Snapshot]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """All alive rows across the pinned shard snapshots, id-sorted
-        (canonical, so order-sensitive downstream code is shard-count
-        invariant)."""
-        if not snaps:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        pts = np.vstack([snaps[sid].points for sid in sorted(snaps)])
-        ids = np.concatenate([snaps[sid].ids for sid in sorted(snaps)])
-        return _by_id(pts, ids)
-
     def _merged_entry(
         self,
         vector: Dict[int, int],
@@ -802,9 +843,7 @@ class ShardedSkylineService:
             _zs, pts, ids = merged.collect()
             pts, ids = _by_id(pts, ids)
         else:
-            d = self.codec.dimensions
-            pts = np.empty((0, d), dtype=np.float64)
-            ids = np.empty(0, dtype=np.int64)
+            pts, ids = _empty(self.codec.dimensions)
         pts, ids, masked = self._mask_lost(pts, ids, list(lost))
         entry = MergedSkyline(
             vector=sub_vector,
@@ -818,15 +857,37 @@ class ShardedSkylineService:
             cache.note_merge(reused, fresh)
         return entry
 
-    def _merged_union(
-        self, entry: MergedSkyline, snaps: Dict[int, Snapshot]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Alive union for the entry's vector, computed once and shared
-        by every later query on the same vector (a benign write race
-        recomputes identical arrays)."""
-        if entry.union_ids is None or entry.union_points is None:
-            entry.union_points, entry.union_ids = self._alive_union(snaps)
-        return entry.union_points, entry.union_ids
+    def _lookup(
+        self,
+        request: Query,
+        vector: Dict[int, int],
+        lost: List[int],
+    ) -> Optional[Tuple[_Payload, int]]:
+        """The one cache probe: the merge cache answers ``full``, the
+        result cache every other kind but ``explain``.  The pinned
+        vector (+ lost set) is the cache identity, so a hit — computed
+        from the exact same shard states — skips the scatter and is
+        bit-identical by construction.  Returns ``(payload, masked)``
+        or None."""
+        if request.kind == "full":
+            if self._merge_cache is None:
+                return None
+            entry = self._merge_cache.get(vector, lost)
+            if entry is None:
+                return None
+            return _Payload(points=entry.points, ids=entry.ids), entry.masked
+        if not self._result_cached(request):
+            return None
+        hit, value = self._result_cache.lookup(
+            self._result_key(vector, lost, request)
+        )
+        return (value.payload, value.masked) if hit else None
+
+    def _result_cached(self, request: Query) -> bool:
+        """The result cache holds every kind but ``full`` (the merge
+        cache's) and ``explain`` (never cached)."""
+        kind = request.kind
+        return self._result_cache is not None and kind not in ("full", "explain")
 
     def _result_key(
         self,
@@ -845,21 +906,6 @@ class ShardedSkylineService:
             f"{vec}|{lost_part}|{request.fingerprint()}",
         )
 
-    def _store_result(
-        self,
-        vector: Dict[int, int],
-        lost: List[int],
-        request: Query,
-        payload: _Payload,
-        masked: int,
-    ) -> None:
-        if self._result_cache is None:
-            return
-        self._result_cache.store(
-            self._result_key(vector, lost, request),
-            _CachedAnswer(payload=payload, masked=int(masked)),
-        )
-
     def _merged_skyline_size(self) -> int:
         vector, snaps, alive, _lost = self._pin()
         sub_vector = {shard.sid: vector[shard.sid] for shard in alive}
@@ -871,117 +917,71 @@ class ShardedSkylineService:
     def query(
         self, request: Query, timeout: Optional[float] = None
     ) -> QueryResult:
+        """Answer ``request`` over the pinned shard states.
+
+        pin → one cache lookup → scatter → gathered view → the
+        service's own executor → certify against lost shards → store.
+        ``full``/``topk`` scatter a full query (the scatter is the
+        shards' liveness check; the answer folds their pinned skyline
+        trees), ``subspace`` scatters itself, and ``kdominant`` /
+        ``explain`` read the pinned snapshots without scattering.
+        """
         if self._closed:
             raise ConfigurationError("router is closed")
-        request.validate()
         self._check_dataset(request.dataset)
+        request.validate(self.codec.dimensions)
         op = self._next_op()
         self._inject_shard_faults(op)
         self._maybe_heartbeat(op)
         started = monotonic()
         vector, snaps, alive, lost = self._pin()
-        payloads: List[Tuple[int, _Payload]]
-        masked = 0
+        pin_vector = {shard.sid: vector[shard.sid] for shard in alive}
         cached = False
-        queue_wait = 0.0
-        if request.kind in ("full", "subspace", "topk"):
-            # Coordinator fast path: the pinned vector (+ lost set) is
-            # the cache identity.  A hit skips the scatter entirely —
-            # the cached merge was computed from the exact same shard
-            # states, so the answer is bit-identical by construction.
-            pin_vector = {shard.sid: vector[shard.sid] for shard in alive}
-            payload = None
-            if request.kind == "full":
-                if self._merge_cache is not None:
-                    entry = self._merge_cache.get(pin_vector, lost)
-                    if entry is not None:
-                        payload = _Payload(
-                            points=entry.points, ids=entry.ids
-                        )
-                        masked = entry.masked
-                        cached = True
-            elif self._result_cache is not None:
-                hit, value = self._result_cache.lookup(
-                    self._result_key(pin_vector, lost, request)
-                )
-                if hit:
-                    payload = value.payload
-                    masked = value.masked
-                    cached = True
-            if payload is None:
+        hit = self._lookup(request, pin_vector, lost)
+        if hit is not None:
+            (payload, masked), cached = hit, True
+        else:
+            rows = None
+            if request.kind in ("full", "subspace", "topk"):
                 sub_query = (
-                    Query.full(
+                    request
+                    if request.kind == "subspace"
+                    else Query.full(
                         self.name, timeout_seconds=request.timeout_seconds
                     )
-                    if request.kind == "topk"
-                    else request
                 )
                 payloads, newly_lost, cached = self._scatter(
                     sub_query, alive, snaps, op
                 )
                 lost = sorted(lost + newly_lost)
-                answered = {sid for sid, _ in payloads}
-                snaps = {
-                    sid: snap
-                    for sid, snap in snaps.items()
-                    if sid in answered
-                }
-                merged_vector = {sid: vector[sid] for sid in answered}
-                if request.kind == "full":
-                    entry = self._merged_entry(merged_vector, snaps, lost)
-                    masked = entry.masked
-                    payload = _Payload(points=entry.points, ids=entry.ids)
-                elif request.kind == "subspace":
-                    candidates = [
-                        (p.points, p.ids) for _sid, p in payloads
-                    ]
-                    pts, ids = self._union_candidates(candidates)
-                    if ids.shape[0]:
-                        pts, ids = subspace_skyline(
-                            pts, list(request.dims), ids=ids
-                        )
-                    pts, ids = _by_id(pts, ids)
-                    pts, ids, masked = self._mask_lost(
-                        pts, ids, lost, dims=list(request.dims)
+                snaps = {sid: snaps[sid] for sid, _ in payloads}
+                pin_vector = {sid: vector[sid] for sid in snaps}
+                if request.kind == "subspace":
+                    rows = _stack(
+                        [(p.points, p.ids) for _, p in payloads],
+                        self.codec.dimensions,
                     )
-                    payload = _Payload(points=pts, ids=ids)
-                    self._store_result(
-                        merged_vector, lost, request, payload, masked
-                    )
-                else:
-                    entry = self._merged_entry(merged_vector, snaps, lost)
-                    masked = entry.masked
-                    payload = self._exec_topk_merged(
-                        request, entry.points, entry.ids, snaps, entry
-                    )
-                    self._store_result(
-                        merged_vector, lost, request, payload, masked
-                    )
-        elif request.kind == "kdominant":
-            pin_vector = {shard.sid: vector[shard.sid] for shard in alive}
-            payload = None
-            if self._result_cache is not None:
-                hit, value = self._result_cache.lookup(
-                    self._result_key(pin_vector, lost, request)
-                )
-                if hit:
-                    payload = value.payload
-                    masked = value.masked
-                    cached = True
-            if payload is None:
-                pts, ids = self._alive_union(snaps)
-                if ids.shape[0]:
-                    pts, ids = k_dominant_skyline(pts, request.k, ids=ids)
-                pts, ids = _by_id(pts, ids)
+            entry = (
+                self._merged_entry(pin_vector, snaps, lost)
+                if request.kind in ("full", "topk")
+                else None
+            )
+            view = _GatheredView(self, snaps, lost, entry, rows)
+            payload = execute_on_snapshot(request, view)
+            masked = 0
+            if entry is not None:
+                # The merged skyline was masked once, at merge time.
+                masked = entry.masked
+            elif request.kind != "explain":
                 pts, ids, masked = self._mask_lost(
-                    pts, ids, lost, k=request.k
+                    payload.points, payload.ids, lost, request
                 )
                 payload = _Payload(points=pts, ids=ids)
-                self._store_result(
-                    pin_vector, lost, request, payload, masked
+            if self._result_cached(request):
+                self._result_cache.store(
+                    self._result_key(pin_vector, lost, request),
+                    _CachedAnswer(payload=payload, masked=int(masked)),
                 )
-        else:  # explain
-            payload = self._exec_explain_union(request, snaps, lost)
         certificate = self._logical_certificate(
             vector, lost, masked, alive
         )
@@ -1012,24 +1012,9 @@ class ShardedSkylineService:
             explanation=payload.explanation,
             live_member=None,
             cached=cached,
-            queue_wait_seconds=queue_wait,
+            queue_wait_seconds=0.0,
             service_seconds=monotonic() - started,
             certificate=certificate,
-        )
-
-    def _union_candidates(
-        self, candidates: List[Tuple[np.ndarray, np.ndarray]]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        nonempty = [(p, i) for p, i in candidates if i.shape[0]]
-        if not nonempty:
-            d = self.codec.dimensions
-            return (
-                np.empty((0, d), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
-        return (
-            np.vstack([p for p, _ in nonempty]),
-            np.concatenate([i for _, i in nonempty]),
         )
 
     def _mask_lost(
@@ -1037,21 +1022,22 @@ class ShardedSkylineService:
         points: np.ndarray,
         ids: np.ndarray,
         lost: List[int],
-        dims: Optional[List[int]] = None,
-        k: Optional[int] = None,
+        query: Optional[Query] = None,
     ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """Certify a merged answer against the lost shards' floors:
-        drop every point a lost shard *could* still dominate.  Returns
+        """Certify an answer against the lost shards' floors: drop every
+        point a lost shard *could* still dominate — k-dominate for a
+        ``kdominant`` query, dominate on the projected dims for a
+        ``subspace`` one, plainly dominate otherwise.  Returns
         ``(points, ids, masked_count)``."""
         if not lost or ids.shape[0] == 0:
             return points, ids, 0
         floors = self.map.floors(lost)
-        if k is not None:
-            mask = floor_k_dominated_mask(points, floors, k)
-        elif dims is not None:
-            mask = floor_dominated_mask(
-                points[:, dims], floors[:, dims]
-            )
+        kind = "full" if query is None else query.kind
+        if kind == "kdominant":
+            mask = floor_k_dominated_mask(points, floors, query.k)
+        elif kind == "subspace":
+            dims = list(query.dims)
+            mask = floor_dominated_mask(points[:, dims], floors[:, dims])
         else:
             mask = floor_dominated_mask(points, floors)
         if not mask.any():
@@ -1062,105 +1048,6 @@ class ShardedSkylineService:
         pts.setflags(write=False)
         out_ids.setflags(write=False)
         return pts, out_ids, int(mask.sum())
-
-    def _exec_topk_merged(
-        self,
-        request: Query,
-        sky_pts: np.ndarray,
-        sky_ids: np.ndarray,
-        snaps: Dict[int, Snapshot],
-        entry: Optional[MergedSkyline] = None,
-    ) -> _Payload:
-        """Mirror of the single service's topk executor over the merged
-        (already id-sorted) skyline; dominance/representative scores
-        count over the alive union — both are order-invariant counts,
-        so feeding the id-sorted union matches the single service
-        bit-for-bit.  With a merge-cache ``entry`` the union is
-        memoised on it, shared by every query pinned to the vector."""
-
-        def union() -> Tuple[np.ndarray, np.ndarray]:
-            if entry is not None:
-                return self._merged_union(entry, snaps)
-            return self._alive_union(snaps)
-
-        if sky_ids.shape[0] == 0:
-            return _Payload(points=sky_pts, ids=sky_ids)
-        if request.method == "representative":
-            data_pts, _data_ids = union()
-            points, ids = top_k_skyline(
-                sky_pts, sky_ids, data_pts, request.k
-            )
-            scores = None
-        else:
-            data_pts = None
-            if request.method == "dominance":
-                data_pts, _data_ids = union()
-            points, ids, scores = rank_skyline(
-                sky_pts,
-                sky_ids,
-                dataset_points=data_pts,
-                method=request.method,
-                weights=request.weights,
-            )
-            points = points[: request.k]
-            ids = ids[: request.k]
-            scores = scores[: request.k].copy()
-            scores.setflags(write=False)
-        points = points.copy()
-        ids = ids.copy()
-        points.setflags(write=False)
-        ids.setflags(write=False)
-        return _Payload(points=points, ids=ids, scores=scores)
-
-    def _exec_explain_union(
-        self,
-        request: Query,
-        snaps: Dict[int, Snapshot],
-        lost: List[int],
-    ) -> _Payload:
-        data_pts, data_ids = self._alive_union(snaps)
-        if request.point_id is not None:
-            owner = self._owner.get(int(request.point_id))
-            if owner is not None and owner in lost:
-                shard = self._shards[owner]
-                raise ShardDownError(
-                    f"point id {request.point_id} lives on down shard "
-                    f"{owner} of {self.name!r}",
-                    dataset=self.name, shard=owner,
-                    terminal=shard.terminal,
-                    retry_after_seconds=(
-                        self.config.breaker_cooldown_seconds
-                    ),
-                )
-            row = np.flatnonzero(data_ids == int(request.point_id))
-            if row.shape[0] == 0:
-                raise DatasetError(
-                    f"point id {request.point_id} is not alive in "
-                    f"{self.name!r}"
-                )
-            point = data_pts[int(row[0])]
-        else:
-            point = np.asarray(request.point, dtype=np.float64)
-            if point.shape != (self.codec.dimensions,):
-                raise DatasetError(
-                    f"explain point must be {self.codec.dimensions}-D"
-                )
-        explanation = why_not(point, data_pts, data_ids)
-        dom_points, dom_ids = _by_id(
-            explanation.dominator_points, explanation.dominator_ids
-        )
-        explanation = WhyNotExplanation(
-            point=explanation.point,
-            is_skyline_member=explanation.is_skyline_member,
-            dominator_points=dom_points,
-            dominator_ids=dom_ids,
-            single_dimension_fixes=dict(
-                explanation.single_dimension_fixes
-            ),
-        )
-        return _Payload(
-            points=dom_points, ids=dom_ids, explanation=explanation
-        )
 
     def _logical_certificate(
         self,
@@ -1446,6 +1333,24 @@ class ShardedSkylineService:
             f"ShardedSkylineService({self.name!r}, "
             f"shards={self.num_shards}, down={down})"
         )
+
+
+def _empty(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """An empty ``(points, ids)`` answer in ``d`` dimensions."""
+    return np.empty((0, d), dtype=np.float64), np.empty(0, dtype=np.int64)
+
+
+def _stack(
+    parts: List[Tuple[np.ndarray, np.ndarray]], d: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Concatenate ``(points, ids)`` parts in the given order."""
+    parts = [(p, i) for p, i in parts if i.shape[0]]
+    if not parts:
+        return _empty(d)
+    return (
+        np.vstack([p for p, _ in parts]),
+        np.concatenate([i for _, i in parts]),
+    )
 
 
 def _delayed_future(future: Future, delay: float) -> Future:

@@ -143,27 +143,52 @@ class Query:
         )
 
     # -- validation / identity -----------------------------------------
-    def validate(self) -> None:
+    def validate(self, dimensions: int) -> None:
+        """Reject a query that is malformed for a ``dimensions``-d
+        dataset (raises :class:`ConfigurationError`)."""
         if self.kind not in QUERY_KINDS:
             raise ConfigurationError(f"unknown query kind {self.kind!r}")
-        if self.kind == "subspace" and not self.dims:
-            raise ConfigurationError("subspace query needs dims")
+        if self.kind == "subspace" and (
+            not self.dims
+            or len(set(self.dims)) != len(self.dims)
+            or not all(0 <= d < dimensions for d in self.dims)
+        ):
+            raise ConfigurationError(
+                f"subspace query needs distinct dims in "
+                f"[0, {dimensions}); got {list(self.dims)}"
+            )
         if self.kind in ("kdominant", "topk") and self.k <= 0:
             raise ConfigurationError(f"{self.kind} query needs k >= 1")
+        if self.kind == "kdominant" and self.k > dimensions:
+            raise ConfigurationError(
+                f"kdominant query needs k <= {dimensions}; got {self.k}"
+            )
         if self.kind == "topk":
             if self.method not in TOPK_METHODS:
                 raise ConfigurationError(
                     f"topk method must be one of {TOPK_METHODS}; "
                     f"got {self.method!r}"
                 )
-            if self.method == "weighted" and self.weights is None:
-                raise ConfigurationError("weighted topk needs weights")
-        if self.kind == "explain" and (
-            (self.point is None) == (self.point_id is None)
-        ):
-            raise ConfigurationError(
-                "explain query needs exactly one of point / point_id"
-            )
+            if self.method == "weighted" and (
+                self.weights is None
+                or len(self.weights) != dimensions
+                or not all(np.isfinite(w) and w >= 0 for w in self.weights)
+            ):
+                raise ConfigurationError(
+                    f"weighted topk needs {dimensions} finite, "
+                    f"non-negative weights; got {self.weights}"
+                )
+        if self.kind == "explain":
+            if (self.point is None) == (self.point_id is None):
+                raise ConfigurationError(
+                    "explain query needs exactly one of point / point_id"
+                )
+            if self.point is not None and np.shape(self.point) != (
+                dimensions,
+            ):
+                raise ConfigurationError(
+                    f"explain point must be {dimensions}-D"
+                )
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ConfigurationError("timeout_seconds must be positive")
 
@@ -178,7 +203,8 @@ class Query:
         elif self.kind == "topk":
             payload["k"] = self.k
             payload["method"] = self.method
-            if self.weights is not None:
+            # Only the weighted method reads its weights.
+            if self.method == "weighted":
                 payload["weights"] = [repr(w) for w in self.weights]
         elif self.kind == "explain":
             if self.point is not None:
@@ -434,10 +460,13 @@ class SkylineService:
         """
         if self._closed:
             raise ConfigurationError("service is closed")
-        request.validate()
         # Fail fast on unknown datasets (before burning a queue slot).
-        self.registry.snapshot(request.dataset)
+        snapshot = self.registry.snapshot(request.dataset)
         klass = READ if isinstance(request, Query) else MUTATE
+        if klass == READ:
+            request.validate(snapshot.dimensions)
+        else:
+            request.validate()
         if klass == MUTATE:
             # The breaker gates *writes* only: reads degrade to the
             # last published snapshot instead of failing (see the
@@ -870,10 +899,6 @@ def _exec_explain(query: Query, snapshot: Snapshot) -> _Payload:
         point = snapshot.point_of(query.point_id)
     else:
         point = np.asarray(query.point, dtype=np.float64)
-        if point.shape != (snapshot.dimensions,):
-            raise DatasetError(
-                f"explain point must be {snapshot.dimensions}-D"
-            )
     explanation = why_not(point, snapshot.points, snapshot.ids)
     # Canonicalise dominator order by id so cached and fresh answers
     # are bit-identical however the snapshot was assembled.
@@ -906,9 +931,12 @@ def execute_on_snapshot(query: Query, snapshot: Snapshot) -> _Payload:
 
     This is the service's own compute path minus queues, cache, and
     certificates — a pure function of ``(query, snapshot)`` producing
-    the identical canonical payload.  The shard router uses it to
-    recompute a sub-answer against a version-vector-pinned snapshot
+    the identical canonical payload.  The executors read only
+    ``points``, ``ids``, ``sky_points``, ``sky_ids``, ``size``,
+    ``dimensions`` and ``point_of``, so the shard router runs every
+    query kind through here on a view of its gathered rows, and
+    recomputes a sub-answer against a version-vector-pinned snapshot
     when a shard's live answer arrived at a different version.
     """
-    query.validate()
+    query.validate(snapshot.dimensions)
     return _EXECUTORS[query.kind](query, snapshot)

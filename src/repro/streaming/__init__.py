@@ -8,7 +8,9 @@ controlled, window-expired via ordinary WAL delete batches); standing
 every published version; and the :class:`SubscriptionHub` pushes
 :class:`SkylineDiff` notifications (entered/exited skyline ids per
 version) to subscribers over bounded, coalescing queues — with
-resumable cursors and a :class:`FullSync` fallback.
+resumable cursors and a :class:`FullSync` fallback.  One
+:class:`WindowSkyline` (count- or time-based per :class:`WindowSpec`)
+backs every windowed skyline.
 
 See ``docs/INTERNALS.md`` §17 for the model and invariants, and
 ``examples/streaming_subscriptions.py`` for an end-to-end tour.
@@ -27,7 +29,7 @@ from repro.streaming.diff import (
 )
 from repro.streaming.feed import BLOCK, SHED, FeedConfig, IngestFeed
 from repro.streaming.hub import Subscription, SubscriptionHub
-from repro.streaming.window import TimeWindowSkyline, WindowSpec
+from repro.streaming.window import WindowSkyline, WindowSpec
 
 __all__ = [
     "BLOCK",
@@ -42,7 +44,7 @@ __all__ = [
     "StreamEvent",
     "Subscription",
     "SubscriptionHub",
-    "TimeWindowSkyline",
+    "WindowSkyline",
     "WindowSpec",
     "replay",
 ]

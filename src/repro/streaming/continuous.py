@@ -31,11 +31,10 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import ConfigurationError
-from repro.maintenance.window import SlidingWindowSkyline
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.snapshot import Snapshot
 from repro.streaming.diff import SkylineDiff
-from repro.streaming.window import TimeWindowSkyline, WindowSpec
+from repro.streaming.window import WindowSkyline, WindowSpec
 
 #: metrics group for all streaming-layer counters
 STREAMING_GROUP = "streaming"
@@ -44,12 +43,9 @@ STREAMING_GROUP = "streaming"
 class ContinuousQuery:
     """One standing windowed-skyline query over a dataset's stream.
 
-    Results are always in the dataset's external id space.  For
-    count-based windows the internal
-    :class:`~repro.maintenance.window.SlidingWindowSkyline` assigns its
-    own arrival ids; the query keeps the internal→external mapping and
-    translates at the boundary, so ``append`` semantics of the
-    underlying window stay untouched.
+    Results are always in the dataset's external id space: the
+    underlying :class:`~repro.streaming.window.WindowSkyline` is keyed
+    by the ids records arrive under.
     """
 
     def __init__(
@@ -64,16 +60,7 @@ class ContinuousQuery:
         self.spec = spec
         #: last registry version this query advanced to
         self.version = 0
-        self._count_window: Optional[SlidingWindowSkyline] = None
-        self._time_window: Optional[TimeWindowSkyline] = None
-        if spec.kind == WindowSpec.COUNT:
-            self._count_window = SlidingWindowSkyline(
-                codec, spec.count_size
-            )
-            #: internal arrival id -> external dataset id
-            self._id_map: Dict[int, int] = {}
-        else:
-            self._time_window = TimeWindowSkyline(codec, spec.horizon)
+        self._window = WindowSkyline(codec, spec)
         self._last_sky: FrozenSet[int] = frozenset()
         #: recent per-advance diffs (newest last)
         self.diffs: Deque[SkylineDiff] = deque(maxlen=32)
@@ -82,31 +69,15 @@ class ContinuousQuery:
     # ------------------------------------------------------------------
     @property
     def window_size(self) -> int:
-        if self._count_window is not None:
-            return self._count_window.size
-        assert self._time_window is not None
-        return self._time_window.size
+        return self._window.size
 
     def window_ids(self) -> Tuple[int, ...]:
         """External ids currently inside the window, oldest first."""
-        if self._count_window is not None:
-            return tuple(
-                self._id_map[i] for i in self._count_window.window_ids()
-            )
-        assert self._time_window is not None
-        return self._time_window.window_ids()
+        return self._window.window_ids()
 
     def skyline(self) -> Tuple[np.ndarray, np.ndarray]:
         """Current windowed skyline as ``(points, external ids)``."""
-        if self._count_window is not None:
-            points, internal = self._count_window.skyline()
-            external = np.asarray(
-                [self._id_map[int(i)] for i in internal], dtype=np.int64
-            )
-            order = np.argsort(external, kind="stable")
-            return points[order], external[order]
-        assert self._time_window is not None
-        points, ids = self._time_window.skyline()
+        points, ids = self._window.skyline()
         order = np.argsort(ids, kind="stable")
         return points[order], ids[order]
 
@@ -139,24 +110,10 @@ class ContinuousQuery:
         points = np.asarray(points, dtype=np.float64)
         ids = np.asarray(ids, dtype=np.int64)
         clock = float(version) if timestamp is None else float(timestamp)
-        if self._count_window is not None:
-            if points.shape[0]:
-                internal = self._count_window.extend(points)
-                for raw, ext in zip(internal, ids):
-                    self._id_map[int(raw)] = int(ext)
-                survivors = set(self._count_window.window_ids())
-                for raw in [
-                    k for k in self._id_map if k not in survivors
-                ]:
-                    del self._id_map[raw]
-        else:
-            assert self._time_window is not None
-            if points.shape[0]:
-                self._time_window.extend(
-                    points, ids, np.full(points.shape[0], clock)
-                )
-            elif self._time_window.now < clock:
-                self._time_window.advance_to(clock)
+        if points.shape[0]:
+            self._window.extend(points, ids, np.full(points.shape[0], clock))
+        elif self._window.now < clock:
+            self._window.advance_to(clock)
         self.records_seen += int(points.shape[0])
         previous = self._last_sky
         current = self.skyline_ids()
@@ -175,11 +132,7 @@ class ContinuousQuery:
 
     def verify(self) -> None:
         """Testing hook: window-skyline oracle cross-check."""
-        if self._count_window is not None:
-            self._count_window.verify()
-        else:
-            assert self._time_window is not None
-            self._time_window.verify()
+        self._window.verify()
 
     def __repr__(self) -> str:
         return (

@@ -25,7 +25,8 @@ Backpressure goes through the shared
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +101,7 @@ class IngestFeed:
         #: records waiting for the next flush: (point, id, timestamp)
         self._pending: List[Tuple[np.ndarray, int, float]] = []
         #: (timestamp, id) of feed-ingested records still in the window
-        self._window_entries: List[Tuple[float, int]] = []
+        self._window_entries: Deque[Tuple[float, int]] = deque()
         self.batches_flushed = 0
         self.records_flushed = 0
         self.records_expired = 0
@@ -232,7 +233,7 @@ class IngestFeed:
             self._window_entries.extend(
                 (stamp, pid) for _, pid, stamp in batch
             )
-            expired = self._expired_ids()
+            expired = self.window.expire(self._window_entries, self._clock)
             if expired:
                 result = self.registry.delete(self.dataset, expired)
                 self.records_expired += len(expired)
@@ -241,24 +242,6 @@ class IngestFeed:
                         STREAMING_GROUP, "feed_expirations", len(expired)
                     )
         return result
-
-    def _expired_ids(self) -> List[int]:
-        """Pop and return window-expired ids (oldest first)."""
-        entries = self._window_entries
-        if self.window.kind == WindowSpec.COUNT:
-            overflow = len(entries) - self.window.count_size
-            if overflow <= 0:
-                return []
-            expired = [pid for _, pid in entries[:overflow]]
-            self._window_entries = entries[overflow:]
-            return expired
-        cutoff = self._clock - self.window.horizon
-        keep = 0
-        while keep < len(entries) and entries[keep][0] <= cutoff:
-            keep += 1
-        expired = [pid for _, pid in entries[:keep]]
-        self._window_entries = entries[keep:]
-        return expired
 
     def stats(self) -> dict:
         return {

@@ -392,6 +392,17 @@ class TestService:
             if fresh.scores is not None:
                 assert np.array_equal(fresh.scores, again.scores)
 
+    @pytest.mark.parametrize("method", ["sum", "dominance"])
+    def test_ignored_weights_share_the_cache_entry(self, served, method):
+        service, _ = served
+        plain = service.query(Query.topk("d", 4, method=method))
+        weighted = service.query(
+            Query.topk("d", 4, method=method, weights=[3.0, 1.0, 0.0, 2.0])
+        )
+        assert weighted.cached
+        assert np.array_equal(plain.ids, weighted.ids)
+        assert np.array_equal(plain.scores, weighted.scores)
+
     def test_mutation_invalidates_by_version(self, served):
         service, _ = served
         first = service.query(Query.full("d"))

@@ -98,6 +98,33 @@ def _assert_same_answer(got, want, label=""):
         assert got.scores is None, label
     else:
         np.testing.assert_array_equal(got.scores, want.scores, label)
+    if want.explanation is not None:
+        g, w = got.explanation, want.explanation
+        assert g.is_skyline_member == w.is_skyline_member, label
+        assert g.single_dimension_fixes == w.single_dimension_fixes, label
+
+
+#: one malformed query per validation rule; each used to reach the
+#: shards and fail there, scored as shard failures
+MALFORMED = {
+    "subspace-dim-out-of-range": Query.subspace("ds", [0, D]),
+    "subspace-dim-negative": Query.subspace("ds", [-1, 2]),
+    "subspace-dim-repeated": Query.subspace("ds", [1, 1]),
+    "kdominant-k-above-d": Query.kdominant("ds", D + 1),
+    "weighted-nan": Query.topk(
+        "ds", 3, method="weighted", weights=[float("nan")] * D
+    ),
+    "weighted-negative": Query.topk(
+        "ds", 3, method="weighted", weights=[1.0, -1.0, 1.0, 1.0]
+    ),
+    "weighted-short": Query.topk(
+        "ds", 3, method="weighted", weights=[1.0] * (D - 1)
+    ),
+    "explain-point-wrong-d": Query.explain("ds", point=[1.0] * (D + 1)),
+    "explain-point-column": Query(
+        kind="explain", dataset="ds", point=np.ones((D, 1))
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +269,8 @@ class TestScatterGatherIdentity:
     )
     @settings(max_examples=15, deadline=None)
     def test_identity_on_arbitrary_inputs(self, seed, n):
-        """Hypothesis gate: full / subspace / kdominant / topk answers
-        are shard-count invariant on arbitrary grid inputs."""
+        """Hypothesis gate: every query kind's answer is shard-count
+        invariant on arbitrary grid inputs."""
         rng = np.random.default_rng(seed)
         points = _grid(rng, n, cells=16)
         ids = np.arange(n, dtype=np.int64)
@@ -252,6 +279,11 @@ class TestScatterGatherIdentity:
             Query.subspace("ds", [0, 1]),
             Query.kdominant("ds", D - 1),
             Query.topk("ds", 3, method="sum"),
+            Query.topk("ds", 3, method="dominance"),
+            Query.topk("ds", 3, method="representative"),
+            Query.topk("ds", 3, method="weighted", weights=[2.0, 1.0, 0.0, 1.0]),
+            Query.explain("ds", point=[8.0] * D),
+            Query.explain("ds", point_id=n // 2),
         ]
         with _single(points, ids) as single:
             wants = [single.query(q) for q in queries]
@@ -309,6 +341,29 @@ class TestScatterGatherIdentity:
         with _router(_grid(rng, 30), np.arange(30), 2) as router:
             with pytest.raises(DatasetError, match="not served"):
                 router.query(Query.full("other"))
+
+
+class TestMalformedQueries:
+    @pytest.mark.parametrize(
+        "query", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_rejected_synchronously_without_tripping_breakers(self, query):
+        rng = np.random.default_rng(13)
+        points = _grid(rng, 200)
+        ids = np.arange(200, dtype=np.int64)
+        with _single(points, ids) as single, _router(
+            points, ids, 4
+        ) as router:
+            with pytest.raises(ConfigurationError):
+                single.query(query)
+            for _ in range(3):
+                with pytest.raises(ConfigurationError):
+                    router.query(query)
+            states = router.shard_states()
+            assert all(st["breaker"] == "closed" for st in states.values())
+            got = router.query(Query.full("ds"))
+            assert got.certificate["kind"] == "fresh"
+            _assert_same_answer(got, single.query(Query.full("ds")))
 
 
 # ----------------------------------------------------------------------
@@ -731,6 +786,19 @@ class TestMergeCacheIdentity:
             stats = router.stats()
             assert stats["merge_cache"]["hits"] > 0
             assert stats["result_cache"]["hits"] > 0
+
+    def test_ignored_weights_share_the_result_cache_entry(self):
+        rng = np.random.default_rng(72)
+        points, ids = _grid(rng, 200), np.arange(200, dtype=np.int64)
+        with _router(points, ids, 4) as router:
+            for method in ("sum", "dominance"):
+                plain = router.query(Query.topk("ds", 5, method=method))
+                hits = router.stats()["result_cache"]["hits"]
+                again = router.query(
+                    Query.topk("ds", 5, method=method, weights=[1.0] * D)
+                )
+                assert router.stats()["result_cache"]["hits"] == hits + 1
+                _assert_same_answer(again, plain, method)
 
     def test_single_shard_mutation_remerges_incrementally(self):
         rng = np.random.default_rng(71)

@@ -14,6 +14,7 @@ The two invariants everything here leans on:
 
 import threading
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from repro.core.exceptions import (
     DatasetError,
     OverloadedError,
 )
-from repro.maintenance.window import SlidingWindowSkyline
 from repro.observability.metrics import MetricsRegistry
 from repro.serving import DatasetRegistry
 from repro.serving.admission import AdmissionConfig, AdmissionController
@@ -39,7 +39,7 @@ from repro.streaming import (
     IngestFeed,
     SkylineDiff,
     SubscriptionHub,
-    TimeWindowSkyline,
+    WindowSkyline,
     WindowSpec,
     replay,
 )
@@ -136,75 +136,120 @@ class TestSkylineDiff:
 # windows
 # ----------------------------------------------------------------------
 class TestBatchedExtend:
-    def test_extend_matches_append(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [WindowSpec.count(10), WindowSpec.time(3.0)],
+        ids=["count", "time"],
+    )
+    def test_extend_matches_append(self, spec):
         rng = np.random.default_rng(1)
         points = _grid(rng, 37)
-        one = SlidingWindowSkyline(_codec(), 10)
-        two = SlidingWindowSkyline(_codec(), 10)
-        appended = [one.append(row) for row in points]
-        for chunk in np.array_split(points, 5):
-            two.extend(chunk)
+        ids = np.arange(100, 137)
+        stamps = np.sort(rng.uniform(0, 10, size=37))
+        one = WindowSkyline(_codec(), spec)
+        two = WindowSkyline(_codec(), spec)
+        expired_one, expired_two = [], []
+        for i in range(37):
+            expired_one += one.extend(points[i:i + 1], ids[i:i + 1], stamps[i:i + 1])
+        for chunk in np.array_split(np.arange(37), 5):
+            expired_two += two.extend(points[chunk], ids[chunk], stamps[chunk])
         assert two.window_ids() == one.window_ids()
         p1, i1 = one.skyline()
         p2, i2 = two.skyline()
         np.testing.assert_array_equal(np.sort(i1), np.sort(i2))
-        assert appended == list(range(37))
+        # Rows expired inside a batch never entered the window, so the
+        # batched run reports a subset of the one-row expirations.
+        assert set(expired_two) <= set(expired_one)
+        assert set(expired_one) | set(two.window_ids()) == set(ids.tolist())
+        one.verify()
         two.verify()
 
-    def test_extend_returns_all_ids_even_self_expired(self):
-        window = SlidingWindowSkyline(_codec(), 4)
+    def test_extend_returns_expired_ids(self):
+        window = WindowSkyline(_codec(), WindowSpec.count(4))
         rng = np.random.default_rng(2)
-        ids = window.extend(_grid(rng, 10))
-        # Every batch row got an id, only the tail 4 survived.
-        np.testing.assert_array_equal(ids, np.arange(10))
+        assert window.extend(_grid(rng, 3), [0, 1, 2]) == []
+        # Rows 3..5 self-expire inside the batch and never enter; only
+        # previously-inside rows are reported.
+        assert window.extend(_grid(rng, 7), np.arange(3, 10)) == [0, 1, 2]
         assert window.window_ids() == (6, 7, 8, 9)
         window.verify()
 
     def test_extend_empty_and_bad_shape(self):
-        window = SlidingWindowSkyline(_codec(), 4)
-        assert window.extend(np.empty((0, DIMS))).size == 0
+        window = WindowSkyline(_codec(), WindowSpec.count(4))
+        assert window.extend(np.empty((0, DIMS)), []) == []
         with pytest.raises(DatasetError):
-            window.extend(np.zeros(DIMS))
+            window.extend(np.zeros(DIMS), [0])
+        with pytest.raises(DatasetError):
+            window.extend(np.zeros((2, DIMS)), [0])
+        timed = WindowSkyline(_codec(), WindowSpec.time(1.0))
+        with pytest.raises(DatasetError, match="timestamps"):
+            timed.extend(np.zeros((1, DIMS)), [0])
+        with pytest.raises(DatasetError):
+            timed.extend(np.zeros((1, DIMS)), [0], [1.0, 2.0])
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [WindowSpec.count(4), WindowSpec.time(10.0)],
+        ids=["count", "time"],
+    )
+    def test_rearriving_id_replaces_its_older_record(self, spec):
+        window = WindowSkyline(_codec(), spec)
+        window.extend([[1.0, 1, 1], [2.0, 8, 8], [8.0, 2, 8]], [1, 2, 3], [0.0, 0.0, 0.0])
+        # Id 1 arrives again: its dominating record leaves, so 2 and 3
+        # surface; nothing has left the window.
+        assert window.extend([[9.0, 9, 9]], [1], [1.0]) == []
+        assert window.window_ids() == (2, 3, 1)
+        _, ids = window.skyline()
+        assert sorted(ids.tolist()) == [2, 3]
+        window.verify()
+
+    def test_rejected_batch_leaves_the_window_unchanged(self):
+        window = WindowSkyline(_codec(), WindowSpec.count(2))
+        window.extend(np.asarray([[1.0, 1, 1], [2.0, 2, 2]]), [1, 2])
+        for points, ids in [
+            (np.zeros((2, DIMS)), [3, 3]),  # repeated id
+            (np.zeros((2, DIMS + 1)), [3, 4]),  # wrong dimension
+        ]:
+            with pytest.raises(DatasetError):
+                window.extend(points, ids)
+            assert window.window_ids() == (1, 2)
+            window.verify()
+        timed = WindowSkyline(_codec(), WindowSpec.time(5.0))
+        timed.extend([[1.0, 1, 1]], [1], [3.0])
+        with pytest.raises(DatasetError):
+            timed.extend([[2.0, 2, 2]], [2], [2.0])
+        assert (timed.window_ids(), timed.now) == ((1,), 3.0)
+
+    def test_count_window_ignores_timestamp_order(self):
+        window = WindowSkyline(_codec(), WindowSpec.count(2))
+        window.extend([[1.0, 1, 1]], [1], [5.0])
+        assert window.extend([[2.0, 2, 2], [3.0, 3, 3]], [2, 3], [4.0, 1.0]) == [1]
+        assert window.window_ids() == (2, 3)
 
 
 class TestTimeWindow:
     def test_expiry_is_half_open(self):
-        window = TimeWindowSkyline(_codec(), horizon=2.0)
-        window.append([1.0, 2.0, 3.0], 10, timestamp=1.0)
-        window.append([2.0, 1.0, 3.0], 11, timestamp=2.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(2.0))
+        window.extend([[1.0, 2.0, 3.0]], [10], [1.0])
+        window.extend([[2.0, 1.0, 3.0]], [11], [2.0])
         # t=3: cutoff is 1.0 — the t=1.0 point is exactly horizon old
         # and expires; the t=2.0 point stays.
-        expired = window.append([3.0, 3.0, 1.0], 12, timestamp=3.0)
+        expired = window.extend([[3.0, 3.0, 1.0]], [12], [3.0])
         assert expired == [10]
         assert window.window_ids() == (11, 12)
         window.verify()
 
-    def test_batch_equals_per_point(self):
-        rng = np.random.default_rng(3)
-        points = _grid(rng, 30)
-        stamps = np.sort(rng.uniform(0, 10, size=30))
-        a = TimeWindowSkyline(_codec(), horizon=3.0)
-        b = TimeWindowSkyline(_codec(), horizon=3.0)
-        for i in range(30):
-            a.append(points[i], 100 + i, stamps[i])
-        b.extend(points, np.arange(100, 130), stamps)
-        assert a.window_ids() == b.window_ids()
-        pa, ia = a.skyline()
-        pb, ib = b.skyline()
-        np.testing.assert_array_equal(np.sort(ia), np.sort(ib))
-        a.verify()
-        b.verify()
-
     def test_clock_never_regresses(self):
-        window = TimeWindowSkyline(_codec(), horizon=1.0)
-        window.append([1.0, 1.0, 1.0], 1, timestamp=5.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(1.0))
+        window.extend([[1.0, 1.0, 1.0]], [1], [5.0])
         with pytest.raises(DatasetError):
-            window.append([2.0, 2.0, 2.0], 2, timestamp=4.0)
+            window.extend([[2.0, 2.0, 2.0]], [2], [4.0])
         with pytest.raises(DatasetError):
             window.advance_to(3.0)
 
     def test_already_expired_rows_never_inserted(self):
-        window = TimeWindowSkyline(_codec(), horizon=1.0)
+        window = WindowSkyline(_codec(), WindowSpec.time(1.0))
         expired = window.extend(
             np.asarray([[1.0, 1, 1], [2.0, 2, 2], [3.0, 3, 3]]),
             [1, 2, 3],
@@ -224,6 +269,14 @@ class TestTimeWindow:
             WindowSpec("weekly")
         assert WindowSpec.count(5) == WindowSpec.count(5)
         assert WindowSpec.count(5) != WindowSpec.time(5.0)
+
+    def test_spec_expire_pops_the_oldest(self):
+        entries = deque([(1.0, 10), (2.0, 11), (3.0, 12)])
+        assert WindowSpec.count(2).expire(entries, 99.0) == [10]
+        assert list(entries) == [(2.0, 11), (3.0, 12)]
+        # Half-open: at now=4 the t=2 entry is exactly horizon old.
+        assert WindowSpec.time(2.0).expire(entries, 4.0) == [11]
+        assert list(entries) == [(3.0, 12)]
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +333,48 @@ class TestContinuousQueries:
         # The arrival stream saw 4 records; dataset deletes don't
         # rewrite history.
         assert set(query.window_ids()) == {20, 21, 22, 23}
+
+    @pytest.mark.parametrize(
+        "spec",
+        [WindowSpec.count(12), WindowSpec.time(4.0)],
+        ids=["count", "time"],
+    )
+    def test_reinserted_id_replaces_its_window_entry(self, spec):
+        rng = np.random.default_rng(8)
+        registry, manager = self._stack(_grid(rng, 10))
+        query = manager.register("q", "ds", spec)
+        arrivals = {}  # id -> (version, point) of its latest arrival
+        next_id = 10
+        for step in range(10):
+            batch = _grid(rng, 3)
+            ids = [next_id, next_id + 1, next_id + 2]
+            next_id += 3
+            registry.insert("ds", batch, ids)
+            for pid, row in zip(ids, batch):
+                arrivals[pid] = (registry.version("ds"), row)
+            if step in (2, 5):
+                # Delete an id still inside the window, then let it
+                # arrive again with a new point.
+                again = query.window_ids()[-2]
+                registry.delete("ds", [again])
+                row = _grid(rng, 1)
+                registry.insert("ds", row, [again])
+                arrivals[again] = (registry.version("ds"), row[0])
+            latest = sorted(arrivals, key=lambda i: arrivals[i][0])
+            if spec.kind == WindowSpec.COUNT:
+                want_ids = latest[-spec.count_size:]
+            else:
+                cutoff = registry.version("ds") - spec.horizon
+                want_ids = [i for i in latest if arrivals[i][0] > cutoff]
+            got_ids = query.window_ids()
+            assert sorted(got_ids) == sorted(want_ids)
+            assert len(set(got_ids)) == len(got_ids)
+            rows = np.vstack([arrivals[i][1] for i in want_ids])
+            _, want = bnl_skyline(rows, ids=np.asarray(want_ids))
+            _, got = query.skyline()
+            np.testing.assert_array_equal(got, np.sort(want))
+            query.verify()
+        assert query.version == registry.version("ds")
 
     def test_duplicate_name_rejected(self):
         rng = np.random.default_rng(7)

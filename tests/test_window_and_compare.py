@@ -1,12 +1,12 @@
-"""Unit tests for the sliding-window skyline and strategy comparison."""
+"""Unit tests for the count-window skyline and strategy comparison."""
 
 import numpy as np
 import pytest
 
 from repro.core.exceptions import DatasetError, ReproError
 from repro.data.synthetic import independent
-from repro.maintenance import SlidingWindowSkyline
 from repro.pipeline.compare import compare_plans
+from repro.streaming import WindowSkyline, WindowSpec
 from repro.zorder.encoding import ZGridCodec
 
 
@@ -15,50 +15,54 @@ def codec() -> ZGridCodec:
     return ZGridCodec.grid_identity(2, bits_per_dim=5)
 
 
+def _append(window, point, point_id):
+    window.extend(np.asarray([point], dtype=float), [point_id])
+
+
 class TestSlidingWindow:
     def test_window_size_validation(self, codec):
         with pytest.raises(DatasetError):
-            SlidingWindowSkyline(codec, 0)
+            WindowSkyline(codec, WindowSpec.count(0))
 
     def test_fills_up_then_slides(self, codec):
-        window = SlidingWindowSkyline(codec, 3)
+        window = WindowSkyline(codec, WindowSpec.count(3))
         for i in range(5):
-            window.append([float(i), float(i)])
+            _append(window, [float(i), float(i)], i)
         assert window.size == 3
         assert window.window_ids() == (2, 3, 4)
 
     def test_skyline_reflects_only_window(self, codec):
-        window = SlidingWindowSkyline(codec, 2)
-        window.append([0.0, 0.0])    # global best...
-        window.append([5.0, 4.0])
-        window.append([4.0, 5.0])    # ...now expired
+        window = WindowSkyline(codec, WindowSpec.count(2))
+        _append(window, [0.0, 0.0], 0)    # global best...
+        _append(window, [5.0, 4.0], 1)
+        _append(window, [4.0, 5.0], 2)    # ...now expired
         points, ids = window.skyline()
         assert 0 not in ids.tolist()
         assert window.skyline_size == 2
         window.verify()
 
     def test_expired_dominator_resurfaces_shadowed(self, codec):
-        window = SlidingWindowSkyline(codec, 2)
-        window.append([1.0, 1.0])    # dominates the next point
-        window.append([2.0, 2.0])
+        window = WindowSkyline(codec, WindowSpec.count(2))
+        _append(window, [1.0, 1.0], 0)    # dominates the next point
+        _append(window, [2.0, 2.0], 1)
         assert window.skyline_size == 1
-        window.append([9.0, 9.0])    # expires the dominator
+        _append(window, [9.0, 9.0], 2)    # expires the dominator
         points, ids = window.skyline()
         assert 1 in ids.tolist()     # shadowed point resurfaces
         window.verify()
 
     def test_randomized_stream_matches_oracle(self, codec):
         rng = np.random.default_rng(3)
-        window = SlidingWindowSkyline(codec, 25)
-        for _ in range(120):
-            window.append(rng.integers(0, 32, 2).astype(float))
+        window = WindowSkyline(codec, WindowSpec.count(25))
+        for i in range(120):
+            _append(window, rng.integers(0, 32, 2).astype(float), i)
         window.verify()
         assert window.size == 25
 
     def test_extend(self, codec):
         rng = np.random.default_rng(4)
-        window = SlidingWindowSkyline(codec, 10)
-        window.extend(rng.integers(0, 32, (30, 2)).astype(float))
+        window = WindowSkyline(codec, WindowSpec.count(10))
+        window.extend(rng.integers(0, 32, (30, 2)).astype(float), np.arange(30))
         assert window.size == 10
         window.verify()
 
