@@ -10,18 +10,23 @@ Two families of helpers are provided:
 * scalar tests over single points (``dominates``, ``compare``) used by the
   tree algorithms where points arrive one at a time, and
 * vectorised tests over numpy blocks (``dominates_block``,
-  ``block_dominates``, ``dominance_counts``) used by the block-oriented
-  algorithms (BNL/SFS) and the verification oracle.
+  ``block_dominates``, ``dominated_mask``) used by the block-oriented
+  algorithms (BNL/SFS) and the verification oracle, and all-pairs
+  passes (``dominance_blocks``, ``dominance_counts``) used by the query
+  extensions.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 PointLike = Union[Sequence[float], np.ndarray]
+
+#: row pairs per comparison block of the all-pairs passes
+BLOCK_CELLS = 1 << 16
 
 
 class DominanceRelation(enum.Enum):
@@ -131,20 +136,47 @@ def dominated_mask(
     return out
 
 
-def dominance_counts(points: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    """Return, for each point, the number of points that dominate it.
+def dominance_counts(
+    points: np.ndarray, dominators: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Return, for each point, the number of ``dominators`` rows
+    (default: the points themselves) that dominate it.
 
-    Quadratic work, vectorised with chunked broadcasting like
-    :func:`dominated_mask` (memory ``chunk * n`` booleans per pass).
-    Entry ``i`` is the count of indices ``j`` with ``points[j]``
-    dominating ``points[i]``.
+    Entry ``i`` is the count of indices ``j`` with ``dominators[j]``
+    dominating ``points[i]``; quadratic work in
+    :func:`dominance_blocks`.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, n, chunk):
-        part = points[start : start + chunk]
-        le = np.all(points[None, :, :] <= part[:, None, :], axis=2)
-        lt = np.any(points[None, :, :] < part[:, None, :], axis=2)
-        counts[start : start + chunk] = (le & lt).sum(axis=1)
+    counts = np.zeros(points.shape[0], dtype=np.int64)
+    by = points if dominators is None else dominators
+    for _, block in dominance_blocks(by, points):
+        counts += block.sum(axis=0)
     return counts
+
+
+def dominance_blocks(
+    a: np.ndarray, b: np.ndarray
+) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Blocks ``(rows, M[rows])`` of the matrix ``M[i, j]`` = "``a[i]``
+    dominates ``b[j]``", for finite inputs.
+
+    Columns become dense ranks over both inputs, which keep every ``<``
+    and ``==`` (``-0.0 == 0.0``) and make sums exact: given ``a <= b``
+    in every column, ``a != b`` iff ``a`` has the smaller rank sum.  So
+    a block is one 2-D comparison per dimension AND-ed onto a sum test.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    both = np.concatenate([a, np.asarray(b, dtype=np.float64)])
+    ranks = np.empty(both.shape[::-1], np.min_scalar_type(both.shape[0]))
+    for dim in range(both.shape[1]):
+        ranks[dim] = np.unique(both[:, dim], return_inverse=True)[1]
+    rank_a, rank_b = ranks[:, : a.shape[0]], ranks[:, a.shape[0] :]
+    sum_a = rank_a.sum(axis=0, dtype=np.int64)
+    sum_b = rank_b.sum(axis=0, dtype=np.int64)
+    step = max(1, BLOCK_CELLS // max(1, rank_b.shape[1]))
+    for lo in range(0, a.shape[0], step):
+        part = slice(lo, lo + step)
+        block = sum_a[part, None] < sum_b
+        for col_a, col_b in zip(rank_a, rank_b):
+            block &= col_a[part, None] <= col_b
+        yield part, block

@@ -8,9 +8,14 @@ at least one of those.  The k-dominant skyline (points k-dominated by
 nobody) shrinks monotonically as k decreases and equals the ordinary
 skyline at ``k = d``.
 
-Note the classic subtlety: k-dominance is not transitive, so a
-window-eviction algorithm is unsound; we use the two-scan approach over
-vectorised comparisons.
+k-dominance is not transitive, so a window-eviction algorithm is
+unsound.  One composition does hold: if ``s`` dominates ``q`` and ``q``
+k-dominates ``c``, then ``s`` k-dominates ``c``.  So a row off the
+skyline is k-dominated (by its dominator) and k-dominates nothing its
+skyline dominator does not: any rows drawn from the input that contain
+its skyline have the input's k-dominant skyline, and the serving tier
+passes its maintained skyline instead of all rows.  The kernel compares
+every row with every row, one 2-D comparison per dimension and flag.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
+from repro.core.point import BLOCK_CELLS
 from repro.zorder.zbtree import OpCounter
 
 
@@ -38,32 +44,6 @@ def k_dominates(p: np.ndarray, q: np.ndarray, k: int) -> bool:
     return bool(le.sum() >= k and lt.any() and (le & lt).any())
 
 
-def k_dominated_mask(
-    points: np.ndarray,
-    k: int,
-    counter: Optional[OpCounter] = None,
-    chunk: int = 512,
-) -> np.ndarray:
-    """Boolean mask: which rows are k-dominated by some other row."""
-    pts = np.asarray(points, dtype=np.float64)
-    n, d = pts.shape
-    _validate_k(k, d)
-    counter = counter if counter is not None else OpCounter()
-    dominated = np.zeros(n, dtype=bool)
-    for start in range(0, n, chunk):
-        block = pts[start : start + chunk]
-        counter.point_tests += block.shape[0] * n
-        # le_counts[i, j] = #dims where pts[j] <= block[i]
-        le_mat = pts[None, :, :] <= block[:, None, :]
-        lt_mat = pts[None, :, :] < block[:, None, :]
-        le_counts = le_mat.sum(axis=2)
-        strict_any = (le_mat & lt_mat).any(axis=2)
-        dom = (le_counts >= k) & strict_any
-        # A row never k-dominates itself (no strict dimension).
-        dominated[start : start + chunk] |= dom.any(axis=1)
-    return dominated
-
-
 def k_dominant_skyline(
     points: np.ndarray,
     k: int,
@@ -73,21 +53,32 @@ def k_dominant_skyline(
     """The k-dominant skyline of ``points``.
 
     Returns ``(points, ids)`` of the rows not k-dominated by any other
-    row.  ``k = d`` reduces to the ordinary skyline.
+    row, in row order.  ``k = d`` reduces to the ordinary skyline.
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
-    d = pts.shape[1] if pts.ndim == 2 else 1
+    pts = pts.reshape(-1, pts.shape[1] if pts.ndim == 2 else 1)
+    n, d = pts.shape
+    _validate_k(k, d)
     if ids is None:
         ids = np.arange(n, dtype=np.int64)
     else:
         ids = np.asarray(ids, dtype=np.int64)
-    if n == 0:
-        return pts.reshape(0, d), ids
-    _validate_k(k, d)
-    dominated = k_dominated_mask(pts, k, counter)
-    keep = ~dominated
-    return pts[keep].copy(), ids[keep].copy()
+    dominated = np.zeros(n, dtype=bool)
+    step = max(1, BLOCK_CELLS // max(1, n))
+    for lo in range(0, n, step):
+        block = pts[lo : lo + step]
+        # count[i, j]: dimensions where row i is no worse than block row
+        # j; strict[i, j]: row i is better somewhere
+        count = np.zeros((n, block.shape[0]), dtype=np.int16)
+        strict = np.zeros(count.shape, dtype=bool)
+        for dim in range(d):
+            col, targets = pts[:, dim, None], block[:, dim]
+            count += col <= targets
+            strict |= col < targets
+        dominated[lo : lo + step] = (strict & (count >= k)).any(axis=0)
+    if counter is not None:
+        counter.point_tests += n * n
+    return pts[~dominated], ids[~dominated]
 
 
 def _validate_k(k: int, d: int) -> None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.point import dominates_block
+from repro.core.point import dominance_blocks
 
 
 def dominance_scores(
@@ -29,8 +29,8 @@ def dominance_scores(
     sky = np.asarray(skyline_points, dtype=np.float64)
     data = np.asarray(dataset_points, dtype=np.float64)
     scores = np.zeros(sky.shape[0], dtype=np.int64)
-    for i in range(sky.shape[0]):
-        scores[i] = int(dominates_block(sky[i], data).sum())
+    for part, cover in dominance_blocks(sky, data):
+        scores[part] = cover.sum(axis=1)
     return scores
 
 
@@ -96,19 +96,18 @@ def top_k_skyline(
     if k <= 0:
         raise DatasetError(f"k must be positive; got {k}")
     k = min(k, sky.shape[0])
-    covered = np.zeros(data.shape[0], dtype=bool)
+    cover = np.zeros((sky.shape[0], data.shape[0]), dtype=bool)
+    for part, block in dominance_blocks(sky, data):
+        cover[part] = block
+    # gains[i]: uncovered dataset rows skyline row i dominates; -1 once
+    # chosen.  argmax takes the lowest position among equal gains.
+    gains = cover.sum(axis=1)
     chosen: list = []
-    coverage = [dominates_block(sky[i], data) for i in range(sky.shape[0])]
-    remaining = list(range(sky.shape[0]))
     for _ in range(k):
-        best_pos, best_gain = None, -1
-        for pos in remaining:
-            gain = int((coverage[pos] & ~covered).sum())
-            if gain > best_gain:
-                best_pos, best_gain = pos, gain
-        assert best_pos is not None
-        chosen.append(best_pos)
-        covered |= coverage[best_pos]
-        remaining.remove(best_pos)
-    idx = np.asarray(chosen, dtype=np.int64)
-    return sky[idx].copy(), ids[idx].copy()
+        best = int(np.argmax(gains))
+        chosen.append(best)
+        fresh = cover[best].copy()
+        gains -= cover[:, fresh].sum(axis=1)
+        gains[best] = -1
+        cover[:, fresh] = False
+    return sky[chosen], ids[chosen]

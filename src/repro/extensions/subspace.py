@@ -6,6 +6,14 @@ criteria".  The skycube is the collection of skylines over every
 dimension subset — we provide the single-subspace operator plus a
 bottom-up skycube enumerator over subsets of bounded size (the full
 2^d cube is exponential by nature).
+
+``subspace_skyline`` takes ``candidates``: rows drawn from the input
+that contain its full-space skyline.  The skyline V of their
+projections is exactly the set of minimal projections of all rows, ties
+and duplicates included: a row off the skyline has a skyline dominator
+whose projection is no worse.  The answer is every row whose projection
+no member of V dominates.  Both steps are dominance tests, so
+projections match by value (``-0.0 == 0.0``), never by bytes.
 """
 
 from __future__ import annotations
@@ -16,21 +24,23 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.skyline import skyline_indices_oracle
+from repro.core.point import dominance_counts
 
 
 def subspace_skyline(
     points: np.ndarray,
     dimensions: Sequence[int],
     ids: Optional[np.ndarray] = None,
+    candidates: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Skyline of ``points`` projected onto the given dimensions.
 
     Returns ``(full_points, ids)`` of the rows whose *projection* is not
-    dominated in the subspace (rows keep all their coordinates).
+    dominated in the subspace (rows keep all their coordinates), in row
+    order.  ``candidates`` are rows of ``points`` that contain its
+    full-space skyline (default: all rows).
     """
     pts = np.asarray(points, dtype=np.float64)
-    n = pts.shape[0]
     d = pts.shape[1] if pts.ndim == 2 else 0
     dims = list(dimensions)
     if not dims:
@@ -40,11 +50,14 @@ def subspace_skyline(
     if any(not (0 <= k < d) for k in dims):
         raise DatasetError(f"dimensions out of range for d={d}")
     if ids is None:
-        ids = np.arange(n, dtype=np.int64)
+        ids = np.arange(pts.shape[0], dtype=np.int64)
     else:
         ids = np.asarray(ids, dtype=np.int64)
-    idx = skyline_indices_oracle(pts[:, dims])
-    return pts[idx].copy(), ids[idx].copy()
+    cand = pts if candidates is None else np.asarray(candidates, np.float64)
+    cand = cand[:, dims]
+    front = cand[dominance_counts(cand) == 0]
+    keep = dominance_counts(pts[:, dims], front) == 0
+    return pts[keep], ids[keep]
 
 
 def skycube(
@@ -56,15 +69,18 @@ def skycube(
 
     Returns ``{(dims...): skyline_ids}``.  With ``max_subspace_size``
     unset, enumerates the full skycube (2^d - 1 cuboids) — keep d small.
+    The full-space skyline is computed once and is every cuboid's
+    candidate set.
     """
     pts = np.asarray(points, dtype=np.float64)
     d = pts.shape[1]
     limit = d if max_subspace_size is None else max_subspace_size
     if not (1 <= limit <= d):
         raise DatasetError(f"max_subspace_size must be in [1, {d}]")
+    sky = pts[dominance_counts(pts) == 0]
     out: Dict[Tuple[int, ...], np.ndarray] = {}
     for size in range(1, limit + 1):
         for dims in itertools.combinations(range(d), size):
-            _, sub_ids = subspace_skyline(pts, dims, ids=ids)
+            _, sub_ids = subspace_skyline(pts, dims, ids=ids, candidates=sky)
             out[dims] = sub_ids
     return out

@@ -18,7 +18,8 @@ gathered rows:
   subspace answers (membership survives against fewer competitors, so
   the union of local answers always contains the global one);
 * **kdominant** — k-dominance is **not transitive**, so it does not
-  decompose: the executor runs on the alive union;
+  decompose: the executor runs on the stacked skylines of the pinned
+  shards, which contain the skyline of their alive union;
 * **topk** — ranked over the Z-merged global skyline (dominance /
   representative methods score over the alive union);
 * **explain** — why-not against the alive union.
@@ -291,8 +292,10 @@ class _GatheredView:
     of the pinned snapshots — computed on first read and memoised on
     the merge entry when there is one, so every query pinned to the
     same vector shares it.  ``sky_points``/``sky_ids`` are the entry's
-    masked merged skyline; only ``full`` and ``topk`` read them, and
-    they are empty without an entry.
+    masked merged skyline for ``full`` and ``topk``; for ``subspace``
+    the gathered answers, otherwise the stacked skylines of the pinned
+    shards — drawn from the gathered rows and containing their skyline,
+    as the ``subspace`` and ``kdominant`` executors need.
     """
 
     def __init__(
@@ -308,8 +311,13 @@ class _GatheredView:
         self.dimensions = int(router.codec.dimensions)
         if entry is not None:
             self.sky_points, self.sky_ids = entry.points, entry.ids
+        elif rows is not None:
+            self.sky_points, self.sky_ids = rows
         else:
-            self.sky_points, self.sky_ids = _empty(self.dimensions)
+            self.sky_points, self.sky_ids = _stack(
+                [(snaps[s].sky_points, snaps[s].sky_ids) for s in sorted(snaps)],
+                self.dimensions,
+            )
 
     def _gathered(self) -> Tuple[np.ndarray, np.ndarray]:
         if self._rows is None:

@@ -843,23 +843,18 @@ def _exec_full(query: Query, snapshot: Snapshot) -> _Payload:
 
 
 def _exec_subspace(query: Query, snapshot: Snapshot) -> _Payload:
-    if snapshot.size == 0:
-        return _exec_full(query, snapshot)
     points, ids = subspace_skyline(
-        snapshot.points, list(query.dims), ids=snapshot.ids
+        snapshot.points, list(query.dims), ids=snapshot.ids,
+        candidates=snapshot.sky_points,
     )
-    points, ids = _by_id(points, ids)
-    return _Payload(points=points, ids=ids)
+    return _Payload(*_by_id(points, ids))
 
 
 def _exec_kdominant(query: Query, snapshot: Snapshot) -> _Payload:
-    if snapshot.size == 0:
-        return _exec_full(query, snapshot)
     points, ids = k_dominant_skyline(
-        snapshot.points, query.k, ids=snapshot.ids
+        snapshot.sky_points, query.k, ids=snapshot.sky_ids
     )
-    points, ids = _by_id(points, ids)
-    return _Payload(points=points, ids=ids)
+    return _Payload(*_by_id(points, ids))
 
 
 def _exec_topk(query: Query, snapshot: Snapshot) -> _Payload:
@@ -933,7 +928,10 @@ def execute_on_snapshot(query: Query, snapshot: Snapshot) -> _Payload:
     certificates — a pure function of ``(query, snapshot)`` producing
     the identical canonical payload.  The executors read only
     ``points``, ``ids``, ``sky_points``, ``sky_ids``, ``size``,
-    ``dimensions`` and ``point_of``, so the shard router runs every
+    ``dimensions`` and ``point_of``.  ``full`` and ``topk`` answer from
+    the sky rows as given; ``subspace`` and ``kdominant`` work from them
+    in place of the rows, which is exact whenever the sky rows are drawn
+    from the rows and contain their skyline.  So the shard router runs every
     query kind through here on a view of its gathered rows, and
     recomputes a sub-answer against a version-vector-pinned snapshot
     when a shard's live answer arrived at a different version.

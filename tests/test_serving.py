@@ -21,8 +21,6 @@ from repro.core.exceptions import (
     OverloadedError,
 )
 from repro.core.skyline import skyline_indices_oracle
-from repro.extensions.kdominant import k_dominant_skyline
-from repro.extensions.subspace import subspace_skyline
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import Tracer
 from repro.serving import (
@@ -40,6 +38,7 @@ from repro.serving import (
     replay_workload,
 )
 from repro.zorder.encoding import ZGridCodec
+from tests import extension_oracles as oracle
 
 
 def grid_points(rng, n, d, top=16):
@@ -340,15 +339,15 @@ class TestService:
         service, registry = served
         snap = registry.snapshot("d")
         result = service.query(Query.subspace("d", [0, 2]))
-        _, expected = subspace_skyline(snap.points, [0, 2], ids=snap.ids)
-        assert np.array_equal(result.ids, np.sort(expected))
+        expected = oracle.subspace_ids(snap.points, snap.ids, [0, 2])
+        assert np.array_equal(result.ids, expected)
 
     def test_kdominant_matches_operator(self, served):
         service, registry = served
         snap = registry.snapshot("d")
         result = service.query(Query.kdominant("d", 3))
-        _, expected = k_dominant_skyline(snap.points, 3, ids=snap.ids)
-        assert np.array_equal(result.ids, np.sort(expected))
+        expected = oracle.k_dominant_ids(snap.points, snap.ids, 3)
+        assert np.array_equal(result.ids, expected)
 
     def test_topk_methods(self, served):
         service, _ = served
@@ -570,15 +569,13 @@ def test_service_bit_identical_to_offline(bits, stream):
         assert np.array_equal(full.ids, full_cached.ids)
         assert np.array_equal(full.points, full_cached.points)
         if snap.size:
-            # subspace + kdominant: against the operators run offline
+            # subspace + kdominant: against the all-pairs oracles
             sub = service.query(Query.subspace("p", [0, 2]))
-            _, expected = subspace_skyline(
-                snap.points, [0, 2], ids=snap.ids
-            )
-            assert np.array_equal(sub.ids, np.sort(expected))
+            expected = oracle.subspace_ids(snap.points, snap.ids, [0, 2])
+            assert np.array_equal(sub.ids, expected)
             kdom = service.query(Query.kdominant("p", 2))
-            _, expected = k_dominant_skyline(snap.points, 2, ids=snap.ids)
-            assert np.array_equal(kdom.ids, np.sort(expected))
+            expected = oracle.k_dominant_ids(snap.points, snap.ids, 2)
+            assert np.array_equal(kdom.ids, expected)
             # topk over the oracle skyline, fed in the same id order
             top = service.query(Query.topk("p", 3, method="sum"))
             assert top.size == min(3, full.size)

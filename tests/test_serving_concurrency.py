@@ -21,14 +21,13 @@ import numpy as np
 
 from repro.core.exceptions import DatasetError
 from repro.core.skyline import skyline_indices_oracle
-from repro.extensions.kdominant import k_dominant_skyline
-from repro.extensions.subspace import subspace_skyline
 from repro.serving import (
     DatasetRegistry,
     Mutation,
     Query,
     SkylineService,
 )
+from tests import extension_oracles as oracle
 
 DIMS = 3
 TOP = 16
@@ -164,15 +163,13 @@ class TestCacheCoherenceUnderWrites:
                 if query.kind == "full":
                     expected = _oracle_ids(snap.points, snap.ids)
                 elif query.kind == "subspace":
-                    _, ids = subspace_skyline(
-                        snap.points, list(query.dims), ids=snap.ids
+                    expected = oracle.subspace_ids(
+                        snap.points, snap.ids, query.dims
                     )
-                    expected = np.sort(ids)
                 elif query.kind == "kdominant":
-                    _, ids = k_dominant_skyline(
-                        snap.points, query.k, ids=snap.ids
+                    expected = oracle.k_dominant_ids(
+                        snap.points, snap.ids, query.k
                     )
-                    expected = np.sort(ids)
                 elif query.kind == "topk":
                     assert result.size == min(query.k, snap.skyline_size)
                     assert np.all(np.diff(result.scores) >= 0)

@@ -44,6 +44,7 @@ from repro.serving import (
     replay_workload,
 )
 from repro.zorder.encoding import ZGridCodec
+from tests import extension_oracles as oracle
 
 D = 4
 CELLS = 64
@@ -413,20 +414,63 @@ class TestCertifiedPartial:
             )
             assert cert["masked"] == int((~keep).sum())
 
+    def _alive(self, router, points, ids):
+        alive = router.map.shard_of(points) != 1
+        return points[alive], ids[alive]
+
+    def _assert_complete(self, result, want_ids, want_pts, uncertain):
+        """The answer is exactly the alive-union answer minus the rows
+        the lost floor makes uncertain, and ``masked`` counts those."""
+        keep = ~uncertain
+        np.testing.assert_array_equal(result.ids, want_ids[keep])
+        np.testing.assert_array_equal(result.points, want_pts[keep])
+        assert result.certificate["masked"] == int(uncertain.sum())
+
     def test_kdominant_partial_uses_k_mask(self):
         rng = np.random.default_rng(21)
         router, points, ids = self._crashed_router(rng)
+        masked = 0
         with router:
-            k = D - 1
-            result = router.query(Query.kdominant("ds", k))
-            cert = result.certificate
-            assert cert["kind"] == "partial"
-            floors = np.asarray(cert["floors"], dtype=np.float64)
-            # nothing returned may be k-dominated by the lost floor
-            if result.ids.shape[0]:
+            alive_pts, alive_ids = self._alive(router, points, ids)
+            for k in (D - 1, D):
+                result = router.query(Query.kdominant("ds", k))
+                cert = result.certificate
+                assert cert["kind"] == "partial"
+                floors = np.asarray(cert["floors"], dtype=np.float64)
+                # nothing returned may be k-dominated by the lost floor
                 assert not floor_k_dominated_mask(
                     result.points, floors, k
                 ).any()
+                want = oracle.k_dominant_ids(alive_pts, alive_ids, k)
+                want_pts = alive_pts[np.searchsorted(alive_ids, want)]
+                self._assert_complete(
+                    result, want, want_pts,
+                    floor_k_dominated_mask(want_pts, floors, k),
+                )
+                masked += cert["masked"]
+        assert masked > 0
+
+    def test_subspace_partial_masks_on_projected_dims(self):
+        rng = np.random.default_rng(25)
+        router, points, ids = self._crashed_router(rng)
+        answered = masked = 0
+        with router:
+            alive_pts, alive_ids = self._alive(router, points, ids)
+            for dims in ([0, 1], [1, 2, 3], [0, 2, 3]):
+                result = router.query(Query.subspace("ds", dims))
+                cert = result.certificate
+                assert cert["kind"] == "partial"
+                assert cert["lost_shards"] == [1]
+                floors = np.asarray(cert["floors"], dtype=np.float64)
+                want = oracle.subspace_ids(alive_pts, alive_ids, dims)
+                want_pts = alive_pts[np.searchsorted(alive_ids, want)]
+                self._assert_complete(
+                    result, want, want_pts,
+                    floor_dominated_mask(want_pts[:, dims], floors[:, dims]),
+                )
+                answered += result.ids.shape[0]
+                masked += cert["masked"]
+        assert answered > 0 and masked > 0
 
     def test_explain_on_lost_shard_point_raises_typed(self):
         rng = np.random.default_rng(22)

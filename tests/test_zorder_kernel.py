@@ -320,8 +320,7 @@ class TestVectorisedPointOps:
             ],
             dtype=np.int64,
         )
-        assert np.array_equal(dominance_counts(pts, chunk=16), expected)
-        assert np.array_equal(dominance_counts(pts, chunk=10_000), expected)
+        assert np.array_equal(dominance_counts(pts), expected)
 
     def test_decode_many_accepts_ints_and_native_batches(self):
         codec = ZGridCodec.grid_identity(3, bits_per_dim=5)
