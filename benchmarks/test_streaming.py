@@ -1,12 +1,17 @@
 """Perf smoke for the streaming layer (``repro.streaming``).
 
-One guarded end-to-end measurement, written to ``BENCH_streaming.json``:
-a CDC feed sustains **>= 1k records/s** of windowed ingest while
-push-notification latency (publish -> subscriber receipt) holds
-**p99 <= 50ms** and concurrent cached reads stay available — the
-serving SLO the subsystem was built around.  The diff stream is also
-re-checked for soundness (replay reconstructs the final skyline
-id-set) so a fast-but-wrong run cannot pass.
+Two guarded measurements, written to ``BENCH_streaming.json``:
+
+* ``streaming_slo``: a CDC feed sustains **>= 1k records/s** of
+  windowed ingest while push-notification latency (publish ->
+  subscriber receipt) holds **p99 <= 50ms** and concurrent cached reads
+  stay available — the serving SLO the subsystem was built around.
+  The diff stream is also re-checked for soundness (replay reconstructs
+  the final skyline id-set) so a fast-but-wrong run cannot pass.
+* ``write_path``: a 1-row insert+publish on a non-durable registry
+  costs **p50 <= 25ms at n=200k** and grows at most **10x** from
+  n=10k to n=200k, so the write path's per-batch work stays
+  proportional to the batch rather than the dataset.
 
 Absolute numbers are host-dependent; the thresholds are deliberately
 loose for CI boxes — local runs land far inside them.
@@ -48,6 +53,13 @@ BATCH = 64
 WINDOW = 2_000
 DIMS = 5
 BITS = 8
+
+#: 1-row insert+publish p50 ceiling at the large size, seconds
+MAX_WRITE_P50_SECONDS = 0.025
+#: p50(large) / p50(small) ceiling
+MAX_WRITE_GROWTH = 10.0
+WRITE_SIZES = (10_000, 200_000)
+WRITE_REPS = 15
 
 
 def _read_recorded() -> Dict:
@@ -196,3 +208,60 @@ class TestStreamingSLO:
             f"over {total_reads}"
         )
         assert reads["cached"] > 0, "cache never hit during ingest"
+
+
+def _write_path_at(n: int) -> Dict:
+    """1-row insert+publish timings over a registered n-row base, then
+    one delete of the skyline point with the smallest coordinate sum
+    (the member whose removal re-examines the most rows)."""
+    rng = np.random.default_rng(53)
+    base = rng.integers(0, 2**BITS, size=(n, DIMS)).astype(np.float64)
+    rows = rng.integers(0, 2**BITS, size=(WRITE_REPS, DIMS)).astype(
+        np.float64
+    )
+    registry = DatasetRegistry(keep_versions=2)
+    registry.register("base", base)
+    samples = []
+    for rep in range(WRITE_REPS):
+        started = time.perf_counter()
+        registry.insert("base", rows[rep : rep + 1], [n + rep])
+        samples.append(time.perf_counter() - started)
+    snapshot = registry.snapshot("base")
+    victim = int(snapshot.sky_ids[np.argmin(snapshot.sky_points.sum(axis=1))])
+    started = time.perf_counter()
+    registry.delete("base", [victim])
+    delete_seconds = time.perf_counter() - started
+    return {
+        "insert_p50_ms": float(np.median(samples)) * 1e3,
+        "skyline_delete_ms": delete_seconds * 1e3,
+        "skyline_size": snapshot.skyline_size,
+    }
+
+
+class TestWritePath:
+    def test_one_row_publish_scales_with_the_batch(self):
+        small, large = (_write_path_at(n) for n in WRITE_SIZES)
+        growth = large["insert_p50_ms"] / small["insert_p50_ms"]
+        payload = {
+            "sizes": list(WRITE_SIZES),
+            "reps": WRITE_REPS,
+            "insert_p50_ms": [
+                round(small["insert_p50_ms"], 3),
+                round(large["insert_p50_ms"], 3),
+            ],
+            "growth": round(growth, 2),
+            "skyline_delete_ms": round(large["skyline_delete_ms"], 1),
+            "skyline_size": large["skyline_size"],
+            "max_p50_ms": MAX_WRITE_P50_SECONDS * 1e3,
+            "max_growth": MAX_WRITE_GROWTH,
+        }
+        _update_bench("write_path", payload)
+        assert large["insert_p50_ms"] <= MAX_WRITE_P50_SECONDS * 1e3, (
+            f"1-row publish p50 at n={WRITE_SIZES[1]} is "
+            f"{large['insert_p50_ms']:.2f}ms (ceiling "
+            f"{MAX_WRITE_P50_SECONDS * 1e3:.0f}ms)"
+        )
+        assert growth <= MAX_WRITE_GROWTH, (
+            f"1-row publish grew {growth:.1f}x from n={WRITE_SIZES[0]} "
+            f"to n={WRITE_SIZES[1]} (ceiling {MAX_WRITE_GROWTH:.0f}x)"
+        )

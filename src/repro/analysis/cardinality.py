@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.exceptions import DatasetError
-from repro.core.skyline import skyline_indices_oracle
+from repro.core.point import dominance_counts
 from repro.partitioning.sampling import reservoir_sample_indices
 
 
@@ -83,13 +83,19 @@ def sample_scaling_estimate(
     rng = np.random.default_rng(seed)
     m = max(2, int(dataset.size * sample_ratio))
     idx = reservoir_sample_indices(dataset.size, m, rng)
-    sample_sky = len(skyline_indices_oracle(dataset.points[idx]))
+    sample_sky = int((dominance_counts(dataset.points[idx]) == 0).sum())
     if dataset.size <= m:
         return float(sample_sky)
     growth = (
         math.log(dataset.size) / math.log(m)
     ) ** (dataset.dimensions - 1)
     return min(float(dataset.size), sample_sky * growth)
+
+
+def _skyline_rows(dataset: Dataset, rows: np.ndarray) -> set:
+    """The ``rows`` (dataset row indices) on the skyline of their points."""
+    on_sky = dominance_counts(dataset.points[rows]) == 0
+    return set(rows[on_sky].tolist())
 
 
 def capture_recapture_estimate(
@@ -110,16 +116,10 @@ def capture_recapture_estimate(
     m = max(2, int(dataset.size * sample_ratio))
     first = reservoir_sample_indices(dataset.size, 2 * m, rng)
     half_a, half_b = first[:m], first[m : 2 * m]
-    sky_a = set(
-        half_a[skyline_indices_oracle(dataset.points[half_a])].tolist()
-    )
-    sky_b = set(
-        half_b[skyline_indices_oracle(dataset.points[half_b])].tolist()
-    )
+    sky_a = _skyline_rows(dataset, half_a)
+    sky_b = _skyline_rows(dataset, half_b)
     union = np.asarray(sorted(sky_a | sky_b), dtype=np.int64)
-    union_sky = set(
-        union[skyline_indices_oracle(dataset.points[union])].tolist()
-    )
+    union_sky = _skyline_rows(dataset, union)
     marked_a = sky_a & union_sky
     marked_b = sky_b & union_sky
     both = len(marked_a & marked_b)

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.core.dataset import Dataset
 from repro.core.point import dominance_counts
-from repro.core.skyline import skyline_indices_oracle
 from repro.partitioning.base import PartitionRule
 from repro.zorder.encoding import ZGridCodec
 
@@ -32,14 +31,14 @@ def skyline_partition_histogram(
     if codec is not None:
         zaddresses = codec.encode_grid(dataset.points.astype(np.int64))
     gids = rule.assign_groups(dataset.points, dataset.ids, zaddresses)
-    sky_idx = set(skyline_indices_oracle(dataset.points).tolist())
+    on_sky = dominance_counts(dataset.points) == 0
     histogram: Dict[int, Dict[str, int]] = {}
     for position, gid in enumerate(gids):
         bucket = histogram.setdefault(
             int(gid), {"points": 0, "skyline": 0}
         )
         bucket["points"] += 1
-        if position in sky_idx:
+        if on_sky[position]:
             bucket["skyline"] += 1
     return histogram
 
@@ -80,7 +79,7 @@ def workload_profile(dataset: Dataset) -> Dict[str, float]:
     generators span.
     """
     points = dataset.points
-    sky = skyline_indices_oracle(points)
+    sky_size = int((dominance_counts(points) == 0).sum())
     if dataset.dimensions > 1:
         corr = np.corrcoef(points.T)
         off = corr[~np.eye(dataset.dimensions, dtype=bool)]
@@ -90,7 +89,7 @@ def workload_profile(dataset: Dataset) -> Dict[str, float]:
     return {
         "n": float(dataset.size),
         "d": float(dataset.dimensions),
-        "skyline_size": float(len(sky)),
-        "skyline_fraction": float(len(sky)) / dataset.size,
+        "skyline_size": float(sky_size),
+        "skyline_fraction": sky_size / dataset.size,
         "mean_pairwise_correlation": mean_corr,
     }

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.exceptions import DatasetError
-from repro.core.skyline import skyline_indices_oracle
+from repro.core.point import dominance_counts
 
 
 def ascii_scatter(
@@ -42,7 +42,7 @@ def ascii_scatter(
 
     plane = pts[:, [x_dim, y_dim]]
     if skyline_indices is None:
-        skyline_indices = skyline_indices_oracle(plane).tolist()
+        skyline_indices = np.flatnonzero(dominance_counts(plane) == 0)
     sky_set = set(int(i) for i in skyline_indices)
 
     lo = plane.min(axis=0)

@@ -66,7 +66,12 @@ def atomic_write_bytes(path: str, payload: bytes) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    _fsync_dir(os.path.dirname(os.path.abspath(path)))
+
+
+def _fsync_dir(path: str) -> None:
+    """Make the renames inside directory ``path`` durable."""
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
@@ -178,9 +183,11 @@ class CheckpointStore:
     ) -> None:
         """Persist one completed stage: JSON payload + keyed blocks.
 
-        Every block lands in its own ``.npz`` (tmp+rename) with its
-        CRC32 recorded in the manifest; the manifest itself is rewritten
-        last, so a stage is either fully durable or absent.
+        Every block lands in its own ``.npz`` (tmp, fsync, rename) with
+        its CRC32 recorded in the manifest; the blocks directory is
+        fsynced once and the manifest itself is rewritten last, so a
+        stage is either fully durable or absent, also across a power
+        cut.
         """
         if stage not in STAGE_ORDER:
             raise ConfigurationError(f"unknown checkpoint stage {stage!r}")
@@ -199,7 +206,10 @@ class CheckpointStore:
                 # phase 2 never re-encodes candidates.  Older payloads
                 # without the array load fine (the field is derived).
                 arrays["zaddresses"] = block.zaddresses
-            np.savez(tmp, **arrays)
+            with open(tmp, "wb") as handle:
+                np.savez(handle, **arrays)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp, path)
             entries.append(
                 {
@@ -210,6 +220,10 @@ class CheckpointStore:
                     "dimensions": block.dimensions,
                 }
             )
+        if entries:
+            # The renames must be durable before the manifest names
+            # the blocks.
+            _fsync_dir(os.path.join(self.root, _BLOCKS_DIR))
         self._manifest["stages"][stage] = {
             "payload": payload or {},
             "blocks": entries,

@@ -540,26 +540,26 @@ class DatasetRegistry:
         refuse the duplicate-seq log.  This is also what makes the
         service's recover-then-re-execute path safe — re-executing a
         batch that recovery already applied fails *here*, as a typed
-        DatasetError, with the WAL untouched.
+        DatasetError, with the WAL untouched.  Ids are looked up in the
+        maintainer's id index, so the check costs O(batch).
         """
-        assert state.snapshot is not None
-        alive = state.snapshot.ids
+        maintainer = state.maintainer
+        assert maintainer is not None
         if op == "insert":
             assert points is not None
             if points.ndim != 2 or ids.shape != (points.shape[0],):
                 raise DatasetError("need (n, d) points and matching ids")
-            if np.unique(ids).size != ids.size:
+            batch = ids.tolist()
+            if len(set(batch)) != len(batch):
                 raise DatasetError("duplicate ids within insert batch")
-            clash = np.intersect1d(ids, alive)
-            if clash.size:
-                raise DatasetError(
-                    f"point id {int(clash[0])} already alive"
-                )
+            clash = [pid for pid in batch if pid in maintainer]
+            if clash:
+                raise DatasetError(f"point id {min(clash)} already alive")
         else:
-            missing = np.setdiff1d(ids, alive)
-            if missing.size:
+            missing = {pid for pid in ids.tolist() if pid not in maintainer}
+            if missing:
                 raise DatasetError(
-                    f"point ids not alive: {missing.tolist()}"
+                    f"point ids not alive: {sorted(missing)}"
                 )
 
     def _mutate(

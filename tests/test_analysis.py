@@ -152,3 +152,58 @@ class TestAdvisor:
 
         advice = advise(anticorrelated(800, 5, seed=1))
         assert advice.plan.merge_algorithm in ("ZM", "ZMP")
+
+
+class TestSkylinesAgreeWithOracle:
+    """Each analysis function computes its skylines with
+    ``dominance_counts``; its output must equal what it gives when
+    every skyline comes from the per-point oracle instead."""
+
+    @staticmethod
+    def grid(seed):
+        # Tie-heavy: values in {0..3}, plus exact duplicate rows.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 4, size=(240, 3)).astype(np.float64)
+        return np.vstack([rows, rows[rng.integers(0, 240, size=60)]])
+
+    @staticmethod
+    def oracle_counts(points, dominators=None):
+        from repro.core.skyline import skyline_indices_oracle
+
+        assert dominators is None
+        counts = np.ones(np.asarray(points).shape[0], dtype=np.int64)
+        counts[skyline_indices_oracle(points)] = 0
+        return counts
+
+    def outputs(self, points):
+        from repro.analysis import ascii_scatter
+        from repro.analysis.cardinality import (
+            capture_recapture_estimate,
+            sample_scaling_estimate,
+        )
+
+        ds = Dataset(points)
+        snapped, codec = quantize_dataset(ds, bits_per_dim=4)
+        sample = reservoir_sample(snapped, ratio=0.2, seed=0)
+        rule = get_partitioner("zdg").fit(sample, codec, 4)
+        return (
+            skyline_partition_histogram(snapped, rule, codec),
+            workload_profile(ds),
+            ascii_scatter(points, width=20, height=8, dims=(0, 2)),
+            sample_scaling_estimate(ds, sample_ratio=0.3, seed=2),
+            capture_recapture_estimate(ds, sample_ratio=0.4, seed=2),
+        )
+
+    def test_outputs_match_oracle_skylines(self, monkeypatch):
+        from repro.analysis import cardinality, distribution, plots
+
+        for seed in range(4):
+            points = self.grid(seed)
+            got = self.outputs(points)
+            with monkeypatch.context() as patch:
+                for module in (cardinality, distribution, plots):
+                    patch.setattr(
+                        module, "dominance_counts", self.oracle_counts
+                    )
+                want = self.outputs(points)
+            assert got == want

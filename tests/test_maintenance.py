@@ -68,6 +68,12 @@ class TestInserts:
         with pytest.raises(DatasetError):
             m.insert([2.0, 2.0, 2.0], 0)
 
+    def test_duplicate_ids_within_batch_rejected(self, codec):
+        m = SkylineMaintainer(codec)
+        with pytest.raises(DatasetError, match="duplicate ids"):
+            m.insert_block(np.zeros((2, 3)), np.array([4, 4]))
+        assert m.size == 0 and m.alive()[1].size == 0
+
     def test_bad_shapes_rejected(self, codec):
         m = SkylineMaintainer(codec)
         with pytest.raises(DatasetError):
@@ -243,3 +249,53 @@ class TestFromState:
         points, ids = m.alive()
         assert points.shape[0] == ids.shape[0] == 18
         assert 3 not in set(ids.tolist())
+
+
+class TestColumnarArchive:
+    WINDOW = 256
+    BATCH = 16
+
+    def test_capacity_bounded_under_window_churn(self, codec):
+        """10k operations of window churn (fresh and re-inserted ids,
+        FIFO expiry plus random deletes): the archive's arrays never
+        exceed 4 x (live + batch) rows, and compaction really runs."""
+        rng = np.random.default_rng(23)
+        m = SkylineMaintainer(codec)
+        window = []  # alive ids, oldest first
+        dead = []
+        next_id = 0
+        appended = 0
+        for op in range(10_000):
+            if op % 2 == 0:
+                k = int(rng.integers(1, self.BATCH + 1))
+                reuse = min(len(dead), int(rng.integers(0, k + 1)))
+                ids = dead[:reuse] + list(range(next_id, next_id + k - reuse))
+                del dead[:reuse]
+                next_id += k - reuse
+                m.insert_block(
+                    rng.integers(0, 32, (k, 3)).astype(float),
+                    np.asarray(ids, dtype=np.int64),
+                )
+                window.extend(ids)
+                appended += k
+            else:
+                excess = max(0, len(window) - self.WINDOW)
+                doomed = window[:excess]
+                extra = int(rng.integers(0, 4))
+                picks = rng.choice(
+                    np.arange(excess, len(window)), size=extra, replace=False
+                )
+                doomed += [window[int(i)] for i in picks]
+                gone = set(doomed)
+                window = [pid for pid in window if pid not in gone]
+                if doomed:
+                    m.delete(doomed)
+                dead.extend(doomed)
+            assert m.size == len(window)
+            capacity = m._archive.capacity
+            assert capacity <= 4 * (m.size + self.BATCH), (op, capacity)
+        # Every row ever appended would have needed ~appended rows.
+        assert m._archive.length < appended // 4
+        points, ids = m.alive()
+        assert ids.tolist() == window
+        m.verify()

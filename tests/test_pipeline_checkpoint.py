@@ -166,3 +166,57 @@ class TestFormatVersioning:
             if ".tmp" in name
         ]
         assert leftovers == []
+
+
+class TestDurableWrites:
+    def test_blocks_synced_before_rename_and_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """Every block file is fsynced before its rename, and the blocks
+        directory after the last rename but before the manifest is
+        replaced, so a power cut never leaves a manifest naming a block
+        whose bytes or name were not durable."""
+        store = CheckpointStore(str(tmp_path))
+        store.begin(KEY, resume=False)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        store.save_stage(
+            STAGE_PHASE1, blocks=[(0, block(0)), (3, block(3)), (5, block(5))]
+        )
+        monkeypatch.undo()
+
+        blocks_dir = os.path.join(str(tmp_path), "blocks")
+        renames = [
+            (i, e) for i, e in enumerate(events)
+            if e[0] == "replace" and os.path.dirname(e[2]) == blocks_dir
+        ]
+        assert len(renames) == 3
+        for at, (_, inode, _) in renames:
+            synced = [
+                i for i, e in enumerate(events[:at])
+                if e == ("fsync", inode)
+            ]
+            assert synced, "block renamed before its bytes were fsynced"
+        (manifest_at,) = [
+            i for i, e in enumerate(events)
+            if e[0] == "replace" and e[2] == store.manifest_path
+        ]
+        assert renames[-1][0] < manifest_at
+        dir_inode = os.stat(blocks_dir).st_ino
+        dir_synced = [
+            i for i, e in enumerate(events) if e == ("fsync", dir_inode)
+        ]
+        assert any(
+            renames[-1][0] < i < manifest_at for i in dir_synced
+        ), "blocks directory not fsynced between the renames and manifest"

@@ -391,6 +391,28 @@ class TestRegistryDurability:
         result = registry.recover("ds")
         assert result.version == 3
 
+    def test_rejected_batch_messages_name_the_offending_ids(self):
+        # Validation reads the live id index; the messages name the
+        # smallest clashing id and the sorted, de-duplicated missing
+        # ids, whatever order the batch lists them in.
+        from repro.core.exceptions import DatasetError
+
+        rng = np.random.default_rng(8)
+        registry = DatasetRegistry()
+        registry.register("ds", _points(rng, 20))
+        with pytest.raises(DatasetError, match=r"^point id 3 already alive$"):
+            registry.insert("ds", _points(rng, 3), [900, 17, 3])
+        with pytest.raises(
+            DatasetError, match=r"^point ids not alive: \[20, 901\]$"
+        ):
+            registry.delete("ds", [901, 5, 20, 901])
+        with pytest.raises(DatasetError, match="duplicate ids"):
+            registry.insert("ds", _points(rng, 2), [902, 902])
+        assert registry.snapshot("ds").version == 1
+        registry.delete("ds", [3])
+        registry.insert("ds", _points(rng, 1), [3])
+        assert registry.snapshot("ds").ids[-1] == 3
+
     def test_writer_crash_draw_varies_by_incarnation(self):
         plan = ServingFaultPlan(seed=9, writer_crash_rate=0.4)
         phases = {
